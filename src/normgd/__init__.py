@@ -9,7 +9,7 @@ and a symmetric two-component Gaussian mixture.
 from .experiments import ExperimentSpec, convergence_experiment, default_spec, slope_experiment
 from .model_glm import GlmObjective, GlmPopulation
 from .model_gmm import GmmObjective, gauss_hermite
-from .numkit import SymMatrix, linfit, power_iteration, sym_eig_all
+from .numkit import SymMatrix, linfit, power_iteration
 from .optim import OptimizerConfig, RunTrace, gd_step, normgd_step, run
 from .stochastics import rng_new, rng_split, sample_glm, sample_gmm
 
@@ -34,5 +34,4 @@ __all__ = [
     "sample_glm",
     "sample_gmm",
     "slope_experiment",
-    "sym_eig_all",
 ]

@@ -3,7 +3,7 @@
 Four groups, runnable individually from the CLI:
 
   fd    derivative consistency of both models against central differences
-  eig   shifted power iteration against the exact Jacobi path
+  eig   shifted power iteration against LAPACK's eigvalsh
   quad  population-Hessian quadrature against Monte Carlo and analytic bounds
   em    the EM update against a fixed-step gradient step at eta = sigma^2
 
@@ -117,33 +117,15 @@ def random_gapped_symmetric(rng, case: int, max_dim: int = 16):
 
 def check_eigensolvers(seed: int = 0, cases: int = 60) -> list[CheckResult]:
     rng = rng_new(seed + 2)
-    worst_match, worst_recon, worst_orth = 0.0, 0.0, 0.0
+    worst_match = 0.0
     for case in range(cases):
         mat, _ = random_gapped_symmetric(rng, case)
-        pairs = numkit.sym_eig_all(mat)
-        vals = np.array([v for v, _ in pairs])
-        vecs = np.column_stack([w for _, w in pairs])
-        recon = (vecs * vals) @ vecs.T
-        worst_recon = max(
-            worst_recon,
-            float(np.linalg.norm(recon - mat.a) / max(np.linalg.norm(mat.a), 1e-300)),
-        )
-        worst_orth = max(
-            worst_orth, float(np.max(np.abs(vecs.T @ vecs - np.eye(mat.dim))))
-        )
+        top = float(np.linalg.eigvalsh(mat.a)[-1])
         res = numkit.power_iteration(mat, tol=1e-10, seed=case)
-        worst_match = max(
-            worst_match, abs(res.value - vals[0]) / max(1.0, abs(vals[0]))
-        )
+        worst_match = max(worst_match, abs(res.value - top) / max(1.0, abs(top)))
     return [
         CheckResult(
-            "power_vs_jacobi", worst_match <= EIG_MATCH_TOL, f"max mismatch {worst_match:.3e}"
-        ),
-        CheckResult(
-            "jacobi_reconstruction", worst_recon <= 1e-9, f"max rel resid {worst_recon:.3e}"
-        ),
-        CheckResult(
-            "jacobi_orthonormality", worst_orth <= 1e-10, f"max deviation {worst_orth:.3e}"
+            "power_vs_exact", worst_match <= EIG_MATCH_TOL, f"max mismatch {worst_match:.3e}"
         ),
     ]
 

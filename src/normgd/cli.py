@@ -20,7 +20,7 @@ import sys
 
 import numpy as np
 
-from . import checks, experiments
+from . import checks, experiments, optim
 
 ENV_OUT_ROOT = "NORMGD_OUT"
 
@@ -57,7 +57,7 @@ def _add_model_flags(p: _Parser, slope: bool) -> None:
     p.add_argument("--eta", type=float, default=None, help="step size for all algorithms")
     p.add_argument("--eta-gd", type=float, default=None, help="step size override for gd")
     p.add_argument("--max-iter", type=int, default=None, help="horizon for all algorithms")
-    p.add_argument("--eig-backend", choices=("auto", "exact", "power"), default=None)
+    p.add_argument("--eig-backend", choices=optim.EIG_BACKENDS, default=None)
     p.add_argument("--eig-tol", type=float, default=None)
     p.add_argument("--init-radius", type=float, default=None)
     p.add_argument("--seed", type=int, default=0)

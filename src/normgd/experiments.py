@@ -81,7 +81,7 @@ class ExperimentSpec:
     eta: float | None = None  # None: per-configuration defaults below
     eta_by_algorithm: dict = field(default_factory=dict)
     max_iter_by_algorithm: dict = field(default_factory=dict)
-    eig_backend: str = "auto"
+    eig_backend: str = "exact"
     eig_tol: float = 1e-8
     init_radius: float = 0.5
     jobs: int = 1

@@ -1,7 +1,7 @@
 """Dense linear algebra for small symmetric problems.
 
-Everything here is desk-scale (d <= 64): a cyclic Jacobi eigensolver used as
-the exact reference, a shifted power iteration for the dominant eigenvalue,
+Everything here is desk-scale: a shifted power iteration for the dominant
+eigenvalue (the cross-check of the LAPACK exact path in ``optim.lambda_max``),
 ordinary least squares for slope fitting, and central finite differences used
 by the derivative-checking suites.
 """
@@ -13,11 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-MAX_EXACT_DIM = 64
 
-
-class JacobiConvergenceError(RuntimeError):
-    """Cyclic rotation sweeps failed to annihilate the off-diagonal mass."""
+class EigenConvergenceError(RuntimeError):
+    """An iterative eigensolver ran out of budget before converging."""
 
 
 class DegenerateDesignError(ValueError):
@@ -71,73 +69,6 @@ class LineFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def sym_eig_all(mat: SymMatrix, max_sweeps: int = 64) -> list[tuple[float, np.ndarray]]:
-    """Full eigendecomposition by cyclic Jacobi rotations.
-
-    Returns (eigenvalue, eigenvector) pairs sorted by descending eigenvalue.
-    Eigenvectors are orthonormal columns of the accumulated rotation product.
-    Raises JacobiConvergenceError if the off-diagonal Frobenius mass has not
-    vanished after ``max_sweeps`` full sweeps (does not happen in practice:
-    convergence is quadratic once the off-diagonal mass is small).
-    """
-    d = mat.dim
-    if d > MAX_EXACT_DIM:
-        raise ValueError(f"exact path supports dim <= {MAX_EXACT_DIM}, got {d}")
-    a = mat.a.copy()
-    v = np.eye(d)
-    if d == 1:
-        return [(float(a[0, 0]), np.array([1.0]))]
-
-    scale = np.linalg.norm(a)
-    tol = 1e-14 * max(scale, 1e-300)
-
-    def off_mass():
-        # Summing squares of the off-diagonal entries directly; subtracting
-        # the diagonal mass from the total cancels catastrophically.
-        off = a.copy()
-        np.fill_diagonal(off, 0.0)
-        return float(np.linalg.norm(off))
-
-    converged = False
-    for _ in range(max_sweeps + 1):
-        if off_mass() <= tol:
-            converged = True
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * max(scale, 1e-300):
-                    continue
-                # Classic 2x2 rotation choosing the smaller angle.
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                a[p, q] = a[q, p] = 0.0
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    if not converged:
-        raise JacobiConvergenceError(
-            f"off-diagonal mass {off_mass():.3e} above tolerance after {max_sweeps} sweeps"
-        )
-
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals)[::-1]
-    return [(float(eigvals[i]), v[:, i].copy()) for i in order]
-
-
-def lambda_max_exact(mat: SymMatrix) -> float:
-    """Largest algebraic eigenvalue via the Jacobi path."""
-    return sym_eig_all(mat)[0][0]
 
 
 def _as_matvec(op, dim):
@@ -272,7 +203,7 @@ def fd_gradient(func, theta: np.ndarray, h: float | None = None) -> np.ndarray:
 
 
 def fd_hessian_from_grad(grad_func, theta: np.ndarray, h: float | None = None) -> np.ndarray:
-    """Central-difference Jacobian of a gradient function (symmetrized)."""
+    """Central-difference Hessian from a gradient function (symmetrized)."""
     theta = np.asarray(theta, dtype=float)
     if h is None:
         h = 1e-5 * max(1.0, float(np.linalg.norm(theta)))

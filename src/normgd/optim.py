@@ -25,8 +25,7 @@ from . import numkit
 from .numkit import SymMatrix
 
 ALGORITHMS = ("normgd", "gd", "em")
-EIG_BACKENDS = ("auto", "exact", "power")
-EXACT_BACKEND_MAX_DIM = 16
+EIG_BACKENDS = ("exact", "power")
 LAMBDA_FLOOR_REL = 1e-12
 DENSE_ITERATE_LIMIT = 10_000
 THINNED_STRIDE = 10
@@ -93,7 +92,7 @@ class OptimizerConfig:
     eta: float = 0.5
     max_iter: int = 500
     stop_tol: float = 0.0
-    eig_backend: str = "auto"
+    eig_backend: str = "exact"
     eig_tol: float = 1e-8
 
     def validate(self, obj=None) -> None:
@@ -123,19 +122,24 @@ class OptimizerConfig:
         }
 
 
-def lambda_max(h: SymMatrix, backend: str = "auto", eig_tol: float = 1e-8) -> float:
-    """Top eigenvalue through the configured backend.
+def lambda_max(h: SymMatrix, backend: str = "exact", eig_tol: float = 1e-8) -> float:
+    """Largest algebraic eigenvalue through the configured backend.
 
-    auto resolves to the exact Jacobi path for dim <= 16 and to shifted power
-    iteration above. The power path uses a fixed internal seed so that runs
-    are reproducible.
+    exact takes it from LAPACK (``np.linalg.eigvalsh``); eig_tol is unused
+    there. power runs shifted power iteration to eig_tol with a fixed internal
+    seed, so that runs are reproducible, and raises
+    numkit.EigenConvergenceError when it runs out of budget.
     """
-    if backend == "auto":
-        backend = "exact" if h.dim <= EXACT_BACKEND_MAX_DIM else "power"
     if backend == "exact":
-        return numkit.lambda_max_exact(h)
+        return float(np.linalg.eigvalsh(h.a)[-1])
     if backend == "power":
-        return numkit.power_iteration(h, tol=eig_tol, seed=0).value
+        res = numkit.power_iteration(h, tol=eig_tol, seed=0)
+        if not res.converged:
+            raise numkit.EigenConvergenceError(
+                f"power iteration did not reach tol {eig_tol:g} in {res.iterations} "
+                f"iterations (last estimate {res.value:.12g})"
+            )
+        return res.value
     raise ValueError(f"unknown eig backend {backend!r}")
 
 
@@ -143,7 +147,7 @@ def normgd_step(
     obj,
     theta: np.ndarray,
     eta: float,
-    backend: str = "auto",
+    backend: str = "exact",
     eig_tol: float = 1e-8,
     grad: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float]:

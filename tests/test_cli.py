@@ -39,6 +39,11 @@ class TestConverge:
             tmp_path / "b" / "summary.csv"
         ).read_bytes()
 
+    def test_auto_eig_backend_rejected(self, tmp_path, capsys):
+        code = main(BASE_CONVERGE + ["--eig-backend", "auto", "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert not (tmp_path / "r").exists()
+
     def test_invalid_regime_theta_combination(self, tmp_path, capsys):
         code = main(
             ["converge", "--model", "glm", "--regime", "strong", "--n", "100",
@@ -111,7 +116,7 @@ class TestCheck:
         assert code == 0
         out = capsys.readouterr().out
         names = [line.split("\t")[0] for line in out.strip().split("\n")[1:]]
-        assert "power_vs_jacobi" in names
+        assert "power_vs_exact" in names
         assert all("glm" not in name for name in names)
 
     def test_unknown_group_rejected(self, capsys):

@@ -5,13 +5,11 @@ from normgd import numkit
 from normgd.checks import random_gapped_symmetric
 from normgd.numkit import (
     DegenerateDesignError,
-    JacobiConvergenceError,
     SymMatrix,
     fd_gradient,
     fd_hessian_from_grad,
     linfit,
     power_iteration,
-    sym_eig_all,
 )
 from normgd.stochastics import rng_new
 
@@ -29,50 +27,6 @@ class TestSymMatrix:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             SymMatrix(np.array([[1.0, np.inf], [np.inf, 1.0]]))
-
-
-class TestJacobi:
-    def test_identity(self):
-        pairs = sym_eig_all(SymMatrix(np.eye(3)))
-        assert [v for v, _ in pairs] == [1.0, 1.0, 1.0]
-
-    def test_diagonal(self):
-        pairs = sym_eig_all(SymMatrix(np.diag([3.0, 1.0])))
-        vals = [v for v, _ in pairs]
-        assert vals == [3.0, 1.0]
-        assert abs(abs(pairs[0][1][0]) - 1.0) < 1e-12
-        assert abs(abs(pairs[1][1][1]) - 1.0) < 1e-12
-
-    def test_random_8x8_reconstruction(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8))
-        m = SymMatrix(a + a.T)
-        pairs = sym_eig_all(m)
-        vals = np.array([v for v, _ in pairs])
-        vecs = np.column_stack([w for _, w in pairs])
-        assert np.all(np.diff(vals) <= 0)
-        assert np.max(np.abs(vecs.T @ vecs - np.eye(8))) < 1e-10
-        recon = (vecs * vals) @ vecs.T
-        assert np.linalg.norm(recon - m.a) <= 1e-9 * np.linalg.norm(m.a)
-
-    def test_matches_numpy_eigh(self):
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            d = rng.integers(1, 13)
-            a = rng.standard_normal((d, d))
-            m = SymMatrix(a + a.T)
-            ours = np.array([v for v, _ in sym_eig_all(m)])
-            ref = np.linalg.eigvalsh(m.a)[::-1]
-            assert np.allclose(ours, ref, atol=1e-10 * max(1.0, np.abs(ref).max()))
-
-    def test_dim_cap(self):
-        with pytest.raises(ValueError):
-            sym_eig_all(SymMatrix(np.eye(65)))
-
-    def test_sweep_cap_failure_is_explicit(self):
-        m = SymMatrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        with pytest.raises(JacobiConvergenceError):
-            sym_eig_all(m, max_sweeps=0)
 
 
 class TestPowerIteration:
@@ -111,11 +65,11 @@ class TestPowerIteration:
         with pytest.raises(ValueError):
             power_iteration(lambda v: a @ v)
 
-    def test_agrees_with_jacobi_on_gapped_matrices(self):
+    def test_agrees_with_eigvalsh_on_gapped_matrices(self):
         rng = rng_new(7)
         for case in range(40):
             mat, _ = random_gapped_symmetric(rng, case)
-            top = sym_eig_all(mat)[0][0]
+            top = np.linalg.eigvalsh(mat.a)[-1]
             res = power_iteration(mat, tol=1e-10, seed=case)
             assert abs(res.value - top) <= 1e-8 * max(1.0, abs(top))
             if res.converged:

@@ -4,7 +4,7 @@ import pytest
 from normgd import optim
 from normgd.model_glm import GlmObjective, glm_grad, glm_hessian
 from normgd.model_gmm import GmmObjective, em_step
-from normgd.numkit import SymMatrix, sym_eig_all
+from normgd.numkit import EigenConvergenceError, SymMatrix
 from normgd.optim import (
     DegenerateCurvatureError,
     OptimizerConfig,
@@ -41,7 +41,7 @@ class TestSteps:
         obj = glm_low_snr()
         theta = np.array([0.3, -0.2, 0.1, 0.4])
         got, lam = normgd_step(obj, theta, eta=0.5, backend="exact")
-        top = sym_eig_all(glm_hessian(obj, theta))[0][0]
+        top = np.linalg.eigvalsh(glm_hessian(obj, theta).a)[-1]
         expected = theta - (0.5 / top) * glm_grad(obj, theta)
         assert lam == pytest.approx(top, abs=1e-10)
         assert np.linalg.norm(got - expected) <= 1e-10
@@ -66,6 +66,23 @@ class TestSteps:
         theta = np.array([0.5, -0.3, 0.8])
         gd = gd_step(obj, theta, eta=obj.sigma**2)
         assert np.linalg.norm(gd - em_step(obj, theta)) <= 1e-12
+
+
+class TestLambdaMax:
+    @pytest.mark.parametrize("d", [1, 2, 16, 17, 64])
+    def test_exact_is_top_of_eigvalsh(self, d):
+        rng = np.random.default_rng(d)
+        a = rng.standard_normal((d, d))
+        for h in (SymMatrix(a + a.T), SymMatrix(a @ a.T), SymMatrix(-(a @ a.T))):
+            assert optim.lambda_max(h, "exact") == np.linalg.eigvalsh(h.a)[-1]
+            assert optim.lambda_max(h) == np.linalg.eigvalsh(h.a)[-1]
+
+    def test_unconverged_power_iteration_raises(self):
+        # A 1e-9 relative top gap needs more iterations than the budget at
+        # eig_tol=1e-12; the last estimate (0.99999999947) must not be used.
+        h = SymMatrix(np.diag([1.0, 1.0 - 1e-9, 0.5, -0.2]))
+        with pytest.raises(EigenConvergenceError):
+            optim.lambda_max(h, "power", eig_tol=1e-12)
 
 
 class TestRun:
@@ -193,6 +210,7 @@ class TestRun:
             OptimizerConfig("gd", max_iter=-1),
             OptimizerConfig("gd", stop_tol=-1.0),
             OptimizerConfig("normgd", eig_backend="lanczos"),
+            OptimizerConfig("normgd", eig_backend="auto"),
         ):
             with pytest.raises(ValueError):
                 run(obj, np.zeros(2), bad, None)
