@@ -15,7 +15,6 @@ deterministic regardless of scheduling.
 from __future__ import annotations
 
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -81,8 +80,6 @@ class ExperimentSpec:
     eta: float | None = None  # None: per-configuration defaults below
     eta_by_algorithm: dict = field(default_factory=dict)
     max_iter_by_algorithm: dict = field(default_factory=dict)
-    eig_backend: str = "exact"
-    eig_tol: float = 1e-8
     init_radius: float = 0.5
     jobs: int = 1
 
@@ -152,14 +149,7 @@ class ExperimentSpec:
         max_iter = self.max_iter_by_algorithm.get(
             algorithm, DEFAULT_MAX_ITER[(algorithm, self.regime)]
         )
-        return OptimizerConfig(
-            algorithm=algorithm,
-            eta=eta,
-            max_iter=max_iter,
-            stop_tol=0.0,
-            eig_backend=self.eig_backend,
-            eig_tol=self.eig_tol,
-        )
+        return OptimizerConfig(algorithm=algorithm, eta=eta, max_iter=max_iter, stop_tol=0.0)
 
     def slope_rate(self) -> float:
         """Theoretical low-regime error exponent: error ~ n^(-rate)."""
@@ -181,8 +171,6 @@ class ExperimentSpec:
             "eta": self.eta,
             "eta_by_algorithm": dict(self.eta_by_algorithm),
             "max_iter_by_algorithm": dict(self.max_iter_by_algorithm),
-            "eig_backend": self.eig_backend,
-            "eig_tol": self.eig_tol,
             "init_radius": self.init_radius,
             "jobs": self.jobs,
             "error_statistic": self.error_statistic(),
@@ -303,8 +291,6 @@ class SlopeResult:
 
 
 def _trace_statistic(trace: RunTrace, statistic: str) -> float:
-    if trace.errors is None or len(trace.errors) == 0:
-        return math.nan
     return trace.min_error if statistic == "min" else float(trace.errors[-1])
 
 
@@ -332,8 +318,8 @@ def slope_experiment(spec: ExperimentSpec, outdir=None) -> dict[str, SlopeResult
 
     The per-trial error statistic is min-over-iterates in the low regime and
     the final-iterate error in the strong regime; errors are averaged across
-    repeats before logs are taken. Trials that terminate before recording a
-    single error are excluded and counted.
+    repeats before logs are taken. A NaN statistic, which only a diverged GD
+    run produces, is left out of the mean and counted as excluded.
     """
     grid, repeats = _collect_grid(spec)
     results: dict[str, SlopeResult] = {}

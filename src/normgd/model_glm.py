@@ -51,9 +51,6 @@ class GlmObjective:
     def dim(self) -> int:
         return self.data.d
 
-    def value(self, theta: np.ndarray) -> float:
-        return glm_loss(self, theta)
-
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return glm_grad(self, theta)
 
@@ -118,9 +115,6 @@ class GlmPopulation:
             raise UnsupportedRegimeError(
                 "closed-form population quantities exist only for theta* = 0"
             )
-
-    def value(self, theta: np.ndarray) -> float:
-        return glm_pop_loss(self, theta)
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         self._require_zero_star()

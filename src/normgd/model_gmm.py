@@ -50,9 +50,6 @@ class GmmObjective:
     def dim(self) -> int:
         return self.data.d
 
-    def value(self, theta: np.ndarray) -> float:
-        return gmm_nll(self, theta)
-
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         return gmm_grad(self, theta)
 

@@ -1,9 +1,9 @@
 """Dense linear algebra for small symmetric problems.
 
-Everything here is desk-scale: a shifted power iteration for the dominant
-eigenvalue (the cross-check of the LAPACK exact path in ``optim.lambda_max``),
-ordinary least squares for slope fitting, and central finite differences used
-by the derivative-checking suites.
+Everything here is desk-scale: a shifted power iteration for the largest
+eigenvalue of a SymMatrix (the cross-check of the LAPACK exact path in
+``optim.lambda_max``), ordinary least squares for slope fitting, and central
+finite differences used by the derivative-checking suites.
 """
 
 from __future__ import annotations
@@ -71,74 +71,41 @@ class LineFit:
     r_squared: float
 
 
-def _as_matvec(op, dim):
-    if isinstance(op, SymMatrix):
-        return op.matvec, op.dim
-    if isinstance(op, np.ndarray):
-        m = SymMatrix(op)
-        return m.matvec, m.dim
-    if dim is None:
-        raise ValueError("dim is required when passing a bare matrix-vector map")
-    return op, int(dim)
-
-
-def _gershgorin_shift(apply, dim: int) -> float:
-    # Probe with basis vectors; each column costs one map application.
-    cols = np.empty((dim, dim))
-    for j in range(dim):
-        e = np.zeros(dim)
-        e[j] = 1.0
-        cols[:, j] = apply(e)
-    return float(np.max(np.sum(np.abs(cols), axis=1)))
-
-
-def power_iteration(
-    op,
-    dim: int | None = None,
-    tol: float = 1e-8,
-    max_iter: int | None = None,
-    rng: np.random.Generator | None = None,
-    seed: int = 0,
-) -> EigResult:
+def power_iteration(h: SymMatrix, tol: float = 1e-8, seed: int = 0) -> EigResult:
     """Dominant-eigenvalue power iteration returning the largest *algebraic*
-    eigenvalue of a symmetric operator.
+    eigenvalue of a symmetric matrix.
 
     Plain power iteration finds the eigenvalue of largest magnitude, which for
     an indefinite matrix may be a large negative one. We therefore iterate on
-    A + s*I with the Gershgorin shift s = max_i sum_j |A_ij| (computed by
-    probing the map with basis vectors), which is positive semidefinite and
-    whose dominant eigenvalue is lambda_max(A) + s, then subtract s.
+    A + s*I with the Gershgorin shift s = max_i sum_j |A_ij|, which is
+    positive semidefinite and whose dominant eigenvalue is lambda_max(A) + s,
+    then subtract s.
 
-    ``op`` may be a SymMatrix, a dense ndarray, or a matrix-vector callable
-    (in which case ``dim`` is required and the map must be linear symmetric).
-    Convergence: ||A v - lam v|| <= tol * max(1, |lam|).
+    Convergence: ||A v - lam v|| <= tol * max(1, |lam|), within a budget of
+    10 * dim * ceil(ln(1/tol)) iterations per start; the start vectors are
+    drawn from ``np.random.default_rng(seed)``.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    apply, d = _as_matvec(op, dim)
-    if d < 1:
-        raise ValueError("dim must be >= 1")
-    if max_iter is None:
-        max_iter = 10 * d * math.ceil(math.log(1.0 / tol))
-    if rng is None:
-        rng = np.random.default_rng(seed)
-
-    shift = _gershgorin_shift(apply, d)
+    d = h.dim
+    max_iter = 10 * d * math.ceil(math.log(1.0 / tol))
+    rng = np.random.default_rng(seed)
+    shift = h.row_abs_sum_max()
 
     def one_round(v, budget):
-        # One map application per iteration: A*w serves the Rayleigh
+        # One matrix-vector product per iteration: A*w serves the Rayleigh
         # quotient, the residual test, and the next shifted step.
-        av = apply(v)
+        av = h.matvec(v)
         lam = float(v @ av)
         for it in range(1, budget + 1):
             w = av + shift * v
             norm_w = np.linalg.norm(w)
             if norm_w <= 1e-300:
                 # v is (numerically) an exact null vector of the shifted
-                # operator, hence an eigenvector of A with eigenvalue -shift.
+                # matrix, hence an eigenvector of A with eigenvalue -shift.
                 return EigResult(-shift, v, it, True)
             w /= norm_w
-            aw = apply(w)
+            aw = h.matvec(w)
             lam = float(w @ aw)
             resid = np.linalg.norm(aw - lam * w)
             v, av = w, aw

@@ -1,6 +1,6 @@
 """Optimizer steppers and the trace-recording run loop.
 
-Three update rules over any objective exposing value/gradient/hessian/dim:
+Three update rules over any objective exposing gradient/hessian/dim:
 
   normgd:  theta' = theta - (eta / lambda_max(hessian(theta))) * gradient(theta)
   gd:      theta' = theta - eta * gradient(theta)
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -25,10 +25,7 @@ from . import numkit
 from .numkit import SymMatrix
 
 ALGORITHMS = ("normgd", "gd", "em")
-EIG_BACKENDS = ("exact", "power")
 LAMBDA_FLOOR_REL = 1e-12
-DENSE_ITERATE_LIMIT = 10_000
-THINNED_STRIDE = 10
 
 
 class DegenerateCurvatureError(RuntimeError):
@@ -54,10 +51,6 @@ class Quadratic:
     def dim(self) -> int:
         return self.h.dim
 
-    def value(self, theta):
-        r = theta - self.center
-        return 0.5 * float(r @ self.h.matvec(r))
-
     def gradient(self, theta):
         return self.h.matvec(theta - self.center)
 
@@ -76,9 +69,6 @@ class ScaledObjective:
     def dim(self) -> int:
         return self.base.dim
 
-    def value(self, theta):
-        return self.scale * self.base.value(theta)
-
     def gradient(self, theta):
         return self.scale * self.base.gradient(theta)
 
@@ -92,8 +82,6 @@ class OptimizerConfig:
     eta: float = 0.5
     max_iter: int = 500
     stop_tol: float = 0.0
-    eig_backend: str = "exact"
-    eig_tol: float = 1e-8
 
     def validate(self, obj=None) -> None:
         if self.algorithm not in ALGORITHMS:
@@ -104,31 +92,21 @@ class OptimizerConfig:
             raise ValueError("max_iter must be nonnegative")
         if self.stop_tol < 0:
             raise ValueError("stop_tol must be nonnegative")
-        if self.eig_backend not in EIG_BACKENDS:
-            raise ValueError(f"unknown eig backend {self.eig_backend!r}")
-        if self.eig_tol <= 0:
-            raise ValueError("eig_tol must be positive")
         if self.algorithm == "em" and obj is not None and not hasattr(obj, "em_step"):
             raise ValueError("em is only valid for objectives with an em_step")
 
     def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "eta": self.eta,
-            "max_iter": self.max_iter,
-            "stop_tol": self.stop_tol,
-            "eig_backend": self.eig_backend,
-            "eig_tol": self.eig_tol,
-        }
+        return asdict(self)
 
 
 def lambda_max(h: SymMatrix, backend: str = "exact", eig_tol: float = 1e-8) -> float:
-    """Largest algebraic eigenvalue through the configured backend.
+    """Largest algebraic eigenvalue of h.
 
-    exact takes it from LAPACK (``np.linalg.eigvalsh``); eig_tol is unused
-    there. power runs shifted power iteration to eig_tol with a fixed internal
-    seed, so that runs are reproducible, and raises
-    numkit.EigenConvergenceError when it runs out of budget.
+    exact, the path every optimizer step takes, reads it from LAPACK
+    (``np.linalg.eigvalsh``); eig_tol is unused there. power runs shifted
+    power iteration to eig_tol with a fixed internal seed, so that results are
+    reproducible, and raises numkit.EigenConvergenceError when it runs out of
+    budget; it is kept as a cross-check of exact.
     """
     if backend == "exact":
         return float(np.linalg.eigvalsh(h.a)[-1])
@@ -144,16 +122,11 @@ def lambda_max(h: SymMatrix, backend: str = "exact", eig_tol: float = 1e-8) -> f
 
 
 def normgd_step(
-    obj,
-    theta: np.ndarray,
-    eta: float,
-    backend: str = "exact",
-    eig_tol: float = 1e-8,
-    grad: np.ndarray | None = None,
+    obj, theta: np.ndarray, eta: float, grad: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
     """One normalized-gradient update; returns (theta', lambda_used)."""
     h = obj.hessian(theta)
-    lam = lambda_max(h, backend, eig_tol)
+    lam = lambda_max(h)
     floor = LAMBDA_FLOOR_REL * max(1.0, h.row_abs_sum_max())
     if lam <= floor:
         raise DegenerateCurvatureError(lam)
@@ -172,15 +145,14 @@ def gd_step(obj, theta: np.ndarray, eta: float, grad: np.ndarray | None = None) 
 class RunTrace:
     """Per-iteration record of one optimizer run.
 
-    ``errors`` (present when theta_star was supplied), ``grad_norms`` and
-    ``lambda_max_seq`` (normgd only) are dense over iterations 0..n_steps.
-    Iterates are stored densely up to 10^4 iterations, every 10th beyond
-    that; ``iterate_steps`` carries their iteration indices.
+    ``iterates`` has shape (n_steps + 1, dim), so ``iterates[t]`` is
+    iteration t. ``errors`` (present when theta_star was supplied) and
+    ``grad_norms`` are dense over iterations 0..n_steps; ``lambda_max_seq``
+    (normgd only) holds the eigenvalue used by each step taken.
     """
 
     algorithm: str
-    iterates: list = field(default_factory=list)
-    iterate_steps: list = field(default_factory=list)
+    iterates: np.ndarray | None = None
     errors: np.ndarray | None = None
     grad_norms: np.ndarray | None = None
     lambda_max_seq: np.ndarray | None = None
@@ -247,30 +219,24 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star=None) -> RunTrace:
             raise ValueError("theta_star dimension mismatch")
 
     trace = RunTrace(algorithm=cfg.algorithm)
+    iterates = np.empty((cfg.max_iter + 1, obj.dim))
     errors: list[float] = []
     grad_norms: list[float] = []
     lambdas: list[float] = []
     started = time.perf_counter()
 
-    def record(t, th):
-        if theta_star is not None:
-            errors.append(float(np.linalg.norm(th - theta_star)))
-        if t <= DENSE_ITERATE_LIMIT or t % THINNED_STRIDE == 0:
-            trace.iterates.append(th.copy())
-            trace.iterate_steps.append(t)
-
     t = 0
     while True:
-        record(t, theta)
+        iterates[t] = theta
+        if theta_star is not None:
+            errors.append(float(np.linalg.norm(theta - theta_star)))
         grad = obj.gradient(theta)
         grad_norms.append(float(np.linalg.norm(grad)))
         if grad_norms[-1] <= cfg.stop_tol or t >= cfg.max_iter:
             break
         try:
             if cfg.algorithm == "normgd":
-                theta, lam = normgd_step(
-                    obj, theta, cfg.eta, cfg.eig_backend, cfg.eig_tol, grad=grad
-                )
+                theta, lam = normgd_step(obj, theta, cfg.eta, grad=grad)
                 lambdas.append(lam)
             elif cfg.algorithm == "gd":
                 theta = gd_step(obj, theta, cfg.eta, grad=grad)
@@ -283,9 +249,7 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star=None) -> RunTrace:
         t += 1
 
     trace.n_steps = t
-    if trace.iterate_steps[-1] != t:
-        trace.iterates.append(theta.copy())
-        trace.iterate_steps.append(t)
+    trace.iterates = iterates[: t + 1]
     trace.grad_norms = np.asarray(grad_norms)
     if lambdas:
         trace.lambda_max_seq = np.asarray(lambdas)

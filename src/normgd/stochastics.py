@@ -11,7 +11,6 @@ of uniforms. Child streams are derived by a fixed 64-bit mix of
 from __future__ import annotations
 
 import hashlib
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,12 +130,6 @@ class GlmDataset:
         h.update(np.ascontiguousarray(self.Y).tobytes())
         return h.hexdigest()[:16]
 
-    def to_csv(self, path) -> None:
-        """Columns: x_1..x_d, y; header row; one sample per line."""
-        header = ",".join(f"x_{j + 1}" for j in range(self.d)) + ",y"
-        body = np.column_stack([self.X, self.Y])
-        _write_csv(path, header, body)
-
 
 @dataclass
 class GmmDataset:
@@ -158,19 +151,6 @@ class GmmDataset:
 
     def content_hash(self) -> str:
         return hashlib.sha256(np.ascontiguousarray(self.X).tobytes()).hexdigest()[:16]
-
-    def to_csv(self, path) -> None:
-        """Columns: x_1..x_d; header row; one sample per line."""
-        header = ",".join(f"x_{j + 1}" for j in range(self.d))
-        _write_csv(path, header, self.X)
-
-
-def _write_csv(path, header: str, body: np.ndarray) -> None:
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    np.savetxt(buf, body, delimiter=",", fmt="%.17g")
-    with open(path, "w") as fh:
-        fh.write(buf.getvalue())
 
 
 def sample_glm(n: int, d: int, theta_star, p: int, sigma: float, rng: RngState) -> GlmDataset:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -13,6 +14,7 @@ from normgd.experiments import (
     padded_errors,
     slope_experiment,
 )
+from normgd.optim import OptimizerConfig
 
 
 def small_glm_spec(**overrides):
@@ -201,11 +203,15 @@ class TestPersistence:
         spec_doc = json.loads((outdir / "spec.json").read_text())
         assert spec_doc["model"] == "glm"
         assert spec_doc["error_statistic"] == "min"
+        spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        assert set(spec_doc) == spec_fields | {"error_statistic"}
+        config_fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
         for alg in ("normgd", "gd"):
             for r in range(2):
                 assert (outdir / "traces" / f"{alg}_rep{r}.csv").exists()
                 meta = json.loads((outdir / "traces" / f"{alg}_rep{r}.json").read_text())
                 assert "dataset_hash" in meta and meta["seed"] == 11
+                assert set(meta["config"]) == config_fields
         summary = (outdir / "summary.csv").read_text().strip().split("\n")
         assert summary[0].startswith("algorithm,repeat,n,")
         assert len(summary) == 1 + 2 * 2

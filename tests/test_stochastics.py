@@ -137,25 +137,6 @@ class TestSampleGmm:
 
 
 class TestCsv:
-    def test_glm_csv_roundtrip(self, tmp_path):
-        ds = sample_glm(5, 3, np.ones(3), 2, 1.0, rng_new(1))
-        path = tmp_path / "glm.csv"
-        ds.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x_1,x_2,x_3,y"
-        assert len(lines) == 6
-        body = np.loadtxt(path, delimiter=",", skiprows=1)
-        assert np.allclose(body[:, :3], ds.X)
-        assert np.allclose(body[:, 3], ds.Y)
-
-    def test_gmm_csv_header(self, tmp_path):
-        ds = sample_gmm(4, 2, np.zeros(2), 1.0, rng_new(1))
-        path = tmp_path / "gmm.csv"
-        ds.to_csv(path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == "x_1,x_2"
-        assert len(lines) == 5
-
     def test_dataset_shape_guard(self):
         with pytest.raises(ValueError):
             GlmDataset(
