@@ -3,13 +3,14 @@
 Four groups, runnable individually from the CLI:
 
   fd    derivative consistency of both models against central differences
-  eig   shifted power iteration against LAPACK's eigvalsh
+  eig   the optimizer's top eigenvalue against the spectrum each test matrix
+        was built from, and shifted power iteration against LAPACK's eigvalsh
   quad  population-Hessian quadrature against Monte Carlo and analytic bounds
   em    the EM update against a fixed-step gradient step at eta = sigma^2
 
-Model functions are resolved through their modules at call time, so an
-injected bug (or a monkeypatched mutant in the test suite) is caught and
-named by the owning check.
+Model functions and optim.lambda_max are resolved through their modules at
+call time, so an injected bug (or a monkeypatched mutant in the test suite)
+is caught and named by the owning check.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model_glm, model_gmm, numkit
+from . import model_glm, model_gmm, numkit, optim
 from .stochastics import rng_new, rng_normal, rng_split, rng_uniform, sample_glm, sample_gmm
 
 GROUPS = ("fd", "eig", "quad", "em")
@@ -117,13 +118,18 @@ def random_gapped_symmetric(rng, case: int, max_dim: int = 16):
 
 def check_eigensolvers(seed: int = 0, cases: int = 60) -> list[CheckResult]:
     rng = rng_new(seed + 2)
-    worst_match = 0.0
+    worst_exact, worst_match = 0.0, 0.0
     for case in range(cases):
-        mat, _ = random_gapped_symmetric(rng, case)
+        mat, eigs = random_gapped_symmetric(rng, case)
+        built = float(eigs[0])
+        worst_exact = max(worst_exact, abs(optim.lambda_max(mat) - built) / max(1.0, abs(built)))
         top = float(np.linalg.eigvalsh(mat.a)[-1])
         res = numkit.power_iteration(mat, tol=1e-10, seed=case)
         worst_match = max(worst_match, abs(res.value - top) / max(1.0, abs(top)))
     return [
+        CheckResult(
+            "exact_vs_constructed", worst_exact <= EIG_MATCH_TOL, f"max mismatch {worst_exact:.3e}"
+        ),
         CheckResult(
             "power_vs_exact", worst_match <= EIG_MATCH_TOL, f"max mismatch {worst_match:.3e}"
         ),

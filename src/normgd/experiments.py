@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,8 +134,6 @@ class ExperimentSpec:
         return "min" if self.regime == "low" else "final"
 
     def default_eta(self, algorithm: str) -> float:
-        if algorithm == "em":
-            return self.sigma**2
         if algorithm == "gd":
             return DEFAULT_ETA_GD[(self.model, self.regime)]
         return DEFAULT_ETA_NORMGD
@@ -149,7 +147,7 @@ class ExperimentSpec:
         max_iter = self.max_iter_by_algorithm.get(
             algorithm, DEFAULT_MAX_ITER[(algorithm, self.regime)]
         )
-        return OptimizerConfig(algorithm=algorithm, eta=eta, max_iter=max_iter, stop_tol=0.0)
+        return OptimizerConfig(algorithm=algorithm, eta=eta, max_iter=max_iter)
 
     def slope_rate(self) -> float:
         """Theoretical low-regime error exponent: error ~ n^(-rate)."""
@@ -157,22 +155,8 @@ class ExperimentSpec:
 
     def to_dict(self) -> dict:
         return {
-            "model": self.model,
-            "regime": self.regime,
-            "d": self.d,
-            "sigma": self.sigma,
-            "p": self.p,
+            **asdict(self),
             "theta_star": self.theta_star.tolist(),
-            "n": self.n,
-            "n_grid": list(self.n_grid) if self.n_grid else None,
-            "repeats": self.repeats,
-            "algorithms": list(self.algorithms),
-            "seed": self.seed,
-            "eta": self.eta,
-            "eta_by_algorithm": dict(self.eta_by_algorithm),
-            "max_iter_by_algorithm": dict(self.max_iter_by_algorithm),
-            "init_radius": self.init_radius,
-            "jobs": self.jobs,
             "error_statistic": self.error_statistic(),
         }
 
@@ -291,7 +275,7 @@ class SlopeResult:
 
 
 def _trace_statistic(trace: RunTrace, statistic: str) -> float:
-    return trace.min_error if statistic == "min" else float(trace.errors[-1])
+    return trace.min_error if statistic == "min" else trace.final_error
 
 
 def padded_errors(trace: RunTrace, horizon: int) -> np.ndarray:
@@ -301,8 +285,6 @@ def padded_errors(trace: RunTrace, horizon: int) -> np.ndarray:
     curvature); its error stays at the final recorded value thereafter.
     """
     errs = trace.errors
-    if errs is None:
-        raise ValueError("trace has no recorded errors")
     if len(errs) >= horizon + 1:
         return errs[: horizon + 1]
     return np.concatenate([errs, np.full(horizon + 1 - len(errs), errs[-1])])
@@ -367,14 +349,14 @@ class IterationScalingRow:
         }
 
 
-def iteration_scaling_study(spec: ExperimentSpec, radius_rule=None) -> list[IterationScalingRow]:
+def iteration_scaling_study(spec: ExperimentSpec) -> list[IterationScalingRow]:
     """Iterations needed to first enter the shrinking theoretical radius.
 
     The target radius at sample size n is c * n^(-rate) with the low-regime
     rate of the model; c is calibrated per algorithm as twice that
-    algorithm's mean min-error at the largest n (so the target sits safely
-    above its noise floor at every grid point). A radius_rule(n) callable
-    overrides the calibrated rule for all algorithms.
+    algorithm's mean min-error at the largest n (so the target sits above
+    its mean noise floor at every grid point). A repeat that never enters
+    the radius is counted as censored.
     """
     if spec.regime != "low":
         raise ValueError("iteration scaling is a low-regime study")
@@ -382,21 +364,14 @@ def iteration_scaling_study(spec: ExperimentSpec, radius_rule=None) -> list[Iter
     rate = spec.slope_rate()
     rows: list[IterationScalingRow] = []
     for alg in spec.algorithms:
-        if radius_rule is None:
-            floor = np.mean(
-                [repeats[r]["runs"][grid[-1]][alg].min_error for r in range(spec.repeats)]
-            )
-            c = 2.0 * floor * grid[-1] ** rate
-            rule = lambda n, c=c: c * n ** (-rate)
-        else:
-            rule = radius_rule
+        floor = np.mean([repeats[r]["runs"][grid[-1]][alg].min_error for r in range(spec.repeats)])
+        c = 2.0 * floor * grid[-1] ** rate
         for n in grid:
-            radius = float(rule(n))
+            radius = float(c * n ** (-rate))
             hits = []
             censored = 0
             for r in range(spec.repeats):
-                trace = repeats[r]["runs"][n][alg]
-                hit = iterations_to_radius(trace, radius)
+                hit = iterations_to_radius(repeats[r]["runs"][n][alg], radius)
                 if hit is None:
                     censored += 1
                 else:

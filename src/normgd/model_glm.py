@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularPointError, UnsupportedRegimeError
-from .numkit import SymMatrix
+from .numkit import SymMatrix, check_theta
 from .stochastics import GlmDataset
 
 
@@ -58,22 +58,15 @@ class GlmObjective:
         return glm_hessian(self, theta)
 
 
-def _check_theta(obj, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (obj.dim,):
-        raise ValueError(f"theta must have shape ({obj.dim},), got {theta.shape}")
-    return theta
-
-
 def glm_loss(obj: GlmObjective, theta) -> float:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     u = obj.data.X @ theta
     resid = obj.data.Y - u ** obj.p
     return 0.5 * float(np.mean(resid * resid))
 
 
 def glm_grad(obj: GlmObjective, theta) -> np.ndarray:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     p = obj.p
     X, Y = obj.data.X, obj.data.Y
     u = X @ theta
@@ -82,7 +75,7 @@ def glm_grad(obj: GlmObjective, theta) -> np.ndarray:
 
 
 def glm_hessian(obj: GlmObjective, theta) -> SymMatrix:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     p = obj.p
     X, Y = obj.data.X, obj.data.Y
     u = X @ theta
@@ -118,7 +111,7 @@ class GlmPopulation:
 
     def gradient(self, theta: np.ndarray) -> np.ndarray:
         self._require_zero_star()
-        theta = _check_theta(self, theta)
+        theta = check_theta(self, theta)
         norm = float(np.linalg.norm(theta))
         if norm == 0.0:
             return np.zeros(self.d)
@@ -127,7 +120,7 @@ class GlmPopulation:
 
     def hessian(self, theta: np.ndarray) -> SymMatrix:
         self._require_zero_star()
-        theta = _check_theta(self, theta)
+        theta = check_theta(self, theta)
         norm = float(np.linalg.norm(theta))
         coef = self.p * double_factorial(2 * self.p - 1)
         if norm == 0.0:
@@ -144,7 +137,7 @@ class GlmPopulation:
 
 def glm_pop_loss(pop: GlmPopulation, theta) -> float:
     pop._require_zero_star()
-    theta = _check_theta(pop, theta)
+    theta = check_theta(pop, theta)
     norm = float(np.linalg.norm(theta))
     return 0.5 * (pop.sigma**2 + double_factorial(2 * pop.p - 1) * norm ** (2 * pop.p))
 
@@ -155,7 +148,7 @@ def glm_pop_hessian_eigs(pop: GlmPopulation, theta) -> tuple[float, float]:
     The ratio lambda_max / lambda_min equals 2p - 1 for every theta != 0.
     """
     pop._require_zero_star()
-    theta = _check_theta(pop, theta)
+    theta = check_theta(pop, theta)
     norm = float(np.linalg.norm(theta))
     if norm == 0.0:
         raise SingularPointError("population Hessian eigenstructure undefined at theta = 0")

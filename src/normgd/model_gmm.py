@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numkit import SymMatrix
+from .numkit import SymMatrix, check_theta
 from .stochastics import GmmDataset
 
 SECH2_CUTOFF = 350.0
@@ -60,15 +60,8 @@ class GmmObjective:
         return em_step(self, theta)
 
 
-def _check_theta(obj, theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (obj.dim,):
-        raise ValueError(f"theta must have shape ({obj.dim},), got {theta.shape}")
-    return theta
-
-
 def gmm_nll(obj: GmmObjective, theta) -> float:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     s2 = obj.sigma**2
     X = obj.data.X
     u = (X @ theta) / s2
@@ -80,7 +73,7 @@ def gmm_nll(obj: GmmObjective, theta) -> float:
 
 
 def gmm_grad(obj: GmmObjective, theta) -> np.ndarray:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     s2 = obj.sigma**2
     X = obj.data.X
     t = np.tanh((X @ theta) / s2)
@@ -88,7 +81,7 @@ def gmm_grad(obj: GmmObjective, theta) -> np.ndarray:
 
 
 def gmm_hessian(obj: GmmObjective, theta) -> SymMatrix:
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     s2 = obj.sigma**2
     X = obj.data.X
     w = sech2((X @ theta) / s2)
@@ -98,7 +91,7 @@ def gmm_hessian(obj: GmmObjective, theta) -> SymMatrix:
 
 def em_step(obj: GmmObjective, theta) -> np.ndarray:
     """One EM update of the location estimate; equals theta - sigma^2 * grad."""
-    theta = _check_theta(obj, theta)
+    theta = check_theta(obj, theta)
     s2 = obj.sigma**2
     X = obj.data.X
     t = np.tanh((X @ theta) / s2)

@@ -2,8 +2,9 @@
 
 Everything here is desk-scale: a shifted power iteration for the largest
 eigenvalue of a SymMatrix (the cross-check of the LAPACK exact path in
-``optim.lambda_max``), ordinary least squares for slope fitting, and central
-finite differences used by the derivative-checking suites.
+``optim.lambda_max``), ordinary least squares for slope fitting, central
+finite differences used by the derivative-checking suites, and the parameter
+shape check shared by the two models.
 """
 
 from __future__ import annotations
@@ -54,6 +55,14 @@ class SymMatrix:
 
     def __repr__(self) -> str:
         return f"SymMatrix(dim={self.dim})"
+
+
+def check_theta(obj, theta) -> np.ndarray:
+    """theta as a float array, checked against the objective's dimension."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != (obj.dim,):
+        raise ValueError(f"theta must have shape ({obj.dim},), got {theta.shape}")
+    return theta
 
 
 @dataclass

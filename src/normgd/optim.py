@@ -6,8 +6,8 @@ Three update rules over any objective exposing gradient/hessian/dim:
   gd:      theta' = theta - eta * gradient(theta)
   em:      theta' = objective's own em_step (mixture model only)
 
-The run loop records the distance to a supplied true parameter at every
-iteration; the minimum of that sequence is the statistic the slope
+The run loop records the distance to the true parameter theta*, which every
+run takes, at every iteration; the minimum of that sequence is the statistic the slope
 experiments consume. Near-zero or negative top curvature is an expected
 terminal condition for normgd inside the statistical noise floor, so it ends
 a run gracefully (flagged) instead of raising out of the loop.
@@ -81,18 +81,15 @@ class OptimizerConfig:
     algorithm: str = "normgd"
     eta: float = 0.5
     max_iter: int = 500
-    stop_tol: float = 0.0
 
-    def validate(self, obj=None) -> None:
+    def validate(self, obj) -> None:
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.stop_tol < 0:
-            raise ValueError("stop_tol must be nonnegative")
-        if self.algorithm == "em" and obj is not None and not hasattr(obj, "em_step"):
+        if self.algorithm == "em" and not hasattr(obj, "em_step"):
             raise ValueError("em is only valid for objectives with an em_step")
 
     def to_dict(self) -> dict:
@@ -143,46 +140,41 @@ def gd_step(obj, theta: np.ndarray, eta: float, grad: np.ndarray | None = None) 
 
 @dataclass
 class RunTrace:
-    """Per-iteration record of one optimizer run.
+    """Per-iteration record of one optimizer run, built once when it ends.
 
     ``iterates`` has shape (n_steps + 1, dim), so ``iterates[t]`` is
-    iteration t. ``errors`` (present when theta_star was supplied) and
-    ``grad_norms`` are dense over iterations 0..n_steps; ``lambda_max_seq``
-    (normgd only) holds the eigenvalue used by each step taken.
+    iteration t. ``errors`` (the distance to theta*) and ``grad_norms`` are
+    dense over iterations 0..n_steps; ``lambda_max_seq`` holds the eigenvalue
+    used by each step taken (empty for gd and em). ``degenerate_lambda`` is
+    the top eigenvalue that ended a normgd run, or None.
     """
 
     algorithm: str
-    iterates: np.ndarray | None = None
-    errors: np.ndarray | None = None
-    grad_norms: np.ndarray | None = None
-    lambda_max_seq: np.ndarray | None = None
-    min_error: float | None = None
-    min_error_iter: int | None = None
-    n_steps: int = 0
-    degenerate: bool = False
-    degenerate_lambda: float | None = None
-    wall_time: float = 0.0
+    iterates: np.ndarray
+    errors: np.ndarray
+    grad_norms: np.ndarray
+    lambda_max_seq: np.ndarray
+    min_error: float
+    min_error_iter: int
+    n_steps: int
+    degenerate_lambda: float | None
+    wall_time: float
 
     @property
-    def final(self) -> np.ndarray:
-        return self.iterates[-1]
+    def degenerate(self) -> bool:
+        return self.degenerate_lambda is not None
 
     @property
-    def final_error(self) -> float | None:
-        return None if self.errors is None else float(self.errors[-1])
+    def final_error(self) -> float:
+        return float(self.errors[-1])
 
     def write_csv(self, path) -> None:
-        """Columns: iter, error, grad_norm, lambda_max (blank where absent)."""
+        """Columns: iter, error, grad_norm, lambda_max (blank where no eigenvalue was used)."""
         with open(path, "w") as fh:
             fh.write("iter,error,grad_norm,lambda_max\n")
             for t in range(self.n_steps + 1):
-                err = "" if self.errors is None else f"{self.errors[t]:.17g}"
-                lam = (
-                    ""
-                    if self.lambda_max_seq is None or t >= len(self.lambda_max_seq)
-                    else f"{self.lambda_max_seq[t]:.17g}"
-                )
-                fh.write(f"{t},{err},{self.grad_norms[t]:.17g},{lam}\n")
+                lam = f"{self.lambda_max_seq[t]:.17g}" if t < len(self.lambda_max_seq) else ""
+                fh.write(f"{t},{self.errors[t]:.17g},{self.grad_norms[t]:.17g},{lam}\n")
 
     def write_json(self, path, metadata: dict | None = None) -> None:
         doc = {
@@ -202,37 +194,32 @@ class RunTrace:
             fh.write("\n")
 
 
-def run(obj, theta0, cfg: OptimizerConfig, theta_star=None) -> RunTrace:
-    """Iterate until max_iter, gradient-norm stop, or degenerate curvature.
+def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
+    """Iterate from theta0 and record the error ||theta_t - theta*|| at every iteration.
 
-    The trace records the error ||theta_t - theta*|| at *every* iteration
-    when theta_star is given; min_error is the minimum over the recorded
-    sequence (the min-over-iterates statistic).
+    A run stops in one of three ways: after cfg.max_iter steps, at an
+    exactly zero gradient, or (normgd) at degenerate curvature, which sets
+    ``degenerate_lambda``. min_error is the minimum over the recorded errors
+    (the min-over-iterates statistic).
     """
     cfg.validate(obj)
-    theta = np.asarray(theta0, dtype=float).copy()
-    if theta.shape != (obj.dim,):
-        raise ValueError(f"theta0 must have shape ({obj.dim},)")
-    if theta_star is not None:
-        theta_star = np.asarray(theta_star, dtype=float)
-        if theta_star.shape != (obj.dim,):
-            raise ValueError("theta_star dimension mismatch")
+    theta = numkit.check_theta(obj, theta0).copy()
+    theta_star = numkit.check_theta(obj, theta_star)
 
-    trace = RunTrace(algorithm=cfg.algorithm)
     iterates = np.empty((cfg.max_iter + 1, obj.dim))
     errors: list[float] = []
     grad_norms: list[float] = []
     lambdas: list[float] = []
+    degenerate_lambda = None
     started = time.perf_counter()
 
     t = 0
     while True:
         iterates[t] = theta
-        if theta_star is not None:
-            errors.append(float(np.linalg.norm(theta - theta_star)))
+        errors.append(float(np.linalg.norm(theta - theta_star)))
         grad = obj.gradient(theta)
         grad_norms.append(float(np.linalg.norm(grad)))
-        if grad_norms[-1] <= cfg.stop_tol or t >= cfg.max_iter:
+        if grad_norms[-1] == 0.0 or t >= cfg.max_iter:
             break
         try:
             if cfg.algorithm == "normgd":
@@ -243,27 +230,27 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star=None) -> RunTrace:
             else:
                 theta = obj.em_step(theta)
         except DegenerateCurvatureError as err:
-            trace.degenerate = True
-            trace.degenerate_lambda = err.lam
+            degenerate_lambda = err.lam
             break
         t += 1
 
-    trace.n_steps = t
-    trace.iterates = iterates[: t + 1]
-    trace.grad_norms = np.asarray(grad_norms)
-    if lambdas:
-        trace.lambda_max_seq = np.asarray(lambdas)
-    if theta_star is not None:
-        trace.errors = np.asarray(errors)
-        trace.min_error_iter = int(np.argmin(trace.errors))
-        trace.min_error = float(trace.errors[trace.min_error_iter])
-    trace.wall_time = time.perf_counter() - started
-    return trace
+    errors = np.asarray(errors)
+    best = int(np.argmin(errors))
+    return RunTrace(
+        algorithm=cfg.algorithm,
+        iterates=iterates[: t + 1],
+        errors=errors,
+        grad_norms=np.asarray(grad_norms),
+        lambda_max_seq=np.asarray(lambdas),
+        min_error=float(errors[best]),
+        min_error_iter=best,
+        n_steps=t,
+        degenerate_lambda=degenerate_lambda,
+        wall_time=time.perf_counter() - started,
+    )
 
 
 def iterations_to_radius(trace: RunTrace, radius: float):
     """First iteration whose recorded error is <= radius, or None."""
-    if trace.errors is None:
-        raise ValueError("trace has no recorded errors")
     hits = np.nonzero(trace.errors <= radius)[0]
     return int(hits[0]) if hits.size else None

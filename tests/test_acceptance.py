@@ -147,7 +147,7 @@ def test_c07_eigensolver_cross_check():
     )
     assert flips >= 40
     report(7, f"200 gapped matrices, {flips} indefinite magnitude-flips; "
-              + results[0].detail)
+              + "; ".join(f"{r.name} {r.detail}" for r in results))
 
 
 def test_c08_em_gd_identity():

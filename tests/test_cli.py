@@ -1,6 +1,6 @@
 import numpy as np
 
-from normgd import checks, model_glm
+from normgd import checks, model_glm, optim
 from normgd.cli import main
 from normgd.numkit import SymMatrix
 
@@ -112,6 +112,7 @@ class TestCheck:
         assert code == 0
         out = capsys.readouterr().out
         names = [line.split("\t")[0] for line in out.strip().split("\n")[1:]]
+        assert "exact_vs_constructed" in names
         assert "power_vs_exact" in names
         assert all("glm" not in name for name in names)
 
@@ -136,6 +137,19 @@ class TestCheck:
         assert any(line.startswith("glm_hessian\tFAIL") for line in out_lines)
         assert any(line.startswith("glm_grad\tPASS") for line in out_lines)
         assert "glm_hessian" in captured.err
+
+    def test_injected_eigenvalue_bug_is_caught_and_named(self, capsys, monkeypatch):
+        def second_largest(h, *args, **kwargs):
+            return float(np.linalg.eigvalsh(h.a)[-2])
+
+        monkeypatch.setattr(optim, "lambda_max", second_largest)
+        code = main(["check", "--only", "eig"])
+        assert code == 2
+        captured = capsys.readouterr()
+        out_lines = captured.out.strip().split("\n")
+        assert any(line.startswith("exact_vs_constructed\tFAIL") for line in out_lines)
+        assert any(line.startswith("power_vs_exact\tPASS") for line in out_lines)
+        assert "exact_vs_constructed" in captured.err
 
 
 class TestCheckSuites:

@@ -8,6 +8,7 @@ import pytest
 
 from normgd.experiments import (
     ExperimentSpec,
+    _collect_grid,
     convergence_experiment,
     default_spec,
     iteration_scaling_study,
@@ -178,14 +179,38 @@ class TestIterationScaling:
             iteration_scaling_study(spec)
 
     def test_huge_radius_gives_zero_counts(self):
-        rows = iteration_scaling_study(small_glm_spec(), radius_rule=lambda n: 10.0)
+        # With no steps every run's floor is its start distance, so the
+        # calibrated radius is at least twice it and every run starts inside.
+        spec = small_glm_spec(max_iter_by_algorithm={"normgd": 0, "gd": 0})
+        rows = iteration_scaling_study(spec)
+        assert all(row.radius > spec.init_radius for row in rows)
         assert all(row.mean_iterations == 0.0 for row in rows)
         assert all(row.censored == 0 for row in rows)
 
     def test_unreachable_radius_is_censored(self):
-        rows = iteration_scaling_study(small_glm_spec(), radius_rule=lambda n: 1e-12)
-        assert all(row.mean_iterations is None for row in rows)
-        assert all(row.censored == 2 for row in rows)
+        # A repeat is censored exactly when its min error lies above the radius.
+        spec = small_glm_spec(seed=15, repeats=6)
+        rows = iteration_scaling_study(spec)
+        _, repeats = _collect_grid(spec)
+        for row in rows:
+            floors = [repeats[r]["runs"][row.n][row.algorithm].min_error for r in range(spec.repeats)]
+            assert row.censored == sum(floor > row.radius for floor in floors)
+        (row,) = [row for row in rows if row.censored]
+        assert (row.algorithm, row.n, row.censored) == ("normgd", 200, 1)
+
+    def test_rows_account_for_every_repeat(self):
+        # At this seed one normgd repeat at n=200 never enters the radius, so
+        # the censored count is exercised as well as the hits.
+        spec = small_glm_spec(seed=15, repeats=6)
+        rows = iteration_scaling_study(spec)
+        assert len(rows) == len(spec.algorithms) * len(spec.n_grid)
+        assert any(row.censored for row in rows)
+        for row in rows:
+            assert len(row.per_repeat) + row.censored == spec.repeats
+            if row.per_repeat:
+                assert row.mean_iterations == float(np.mean(row.per_repeat))
+            else:
+                assert row.mean_iterations is None
 
     def test_calibrated_radius_scales_with_n(self):
         rows = iteration_scaling_study(small_glm_spec())

@@ -168,12 +168,14 @@ class TestRun:
         assert trace.n_steps == 0
         assert len(trace.errors) == 1
 
-    def test_stop_tol(self):
+    def test_zero_gradient_stop(self):
+        # eta=1 on the identity Hessian lands on the minimum in one step.
         obj = Quadratic(SymMatrix(np.eye(2)))
-        cfg = OptimizerConfig("normgd", eta=0.5, max_iter=500, stop_tol=1e-6)
+        cfg = OptimizerConfig("normgd", eta=1.0, max_iter=500)
         trace = run(obj, np.array([1.0, 1.0]), cfg, np.zeros(2))
-        assert trace.n_steps < 50
-        assert trace.grad_norms[-1] <= 1e-6
+        assert trace.n_steps == 1
+        assert trace.grad_norms[-1] == 0.0
+        assert not trace.degenerate
 
     def test_iterates_are_dense_past_ten_thousand_steps(self):
         obj = Quadratic(SymMatrix(np.eye(2)))
@@ -189,31 +191,31 @@ class TestRun:
             OptimizerConfig("sgd"),
             OptimizerConfig("gd", eta=0.0),
             OptimizerConfig("gd", max_iter=-1),
-            OptimizerConfig("gd", stop_tol=-1.0),
         ):
             with pytest.raises(ValueError):
-                run(obj, np.zeros(2), bad, None)
+                run(obj, np.zeros(2), bad, np.zeros(2))
 
 
 class TestTraceUtils:
     def synthetic_trace(self):
-        trace = RunTrace(algorithm="normgd")
-        trace.errors = np.array([1.0, 0.5, 0.25])
-        trace.grad_norms = np.array([1.0, 0.5, 0.25])
-        trace.n_steps = 2
-        trace.min_error = 0.25
-        trace.min_error_iter = 2
-        return trace
+        return RunTrace(
+            algorithm="normgd",
+            iterates=np.array([[1.0], [0.5], [0.25]]),
+            errors=np.array([1.0, 0.5, 0.25]),
+            grad_norms=np.array([1.0, 0.5, 0.25]),
+            lambda_max_seq=np.array([1.0, 1.0]),
+            min_error=0.25,
+            min_error_iter=2,
+            n_steps=2,
+            degenerate_lambda=None,
+            wall_time=0.0,
+        )
 
     def test_iterations_to_radius(self):
         trace = self.synthetic_trace()
         assert iterations_to_radius(trace, 0.3) == 2
         assert iterations_to_radius(trace, 2.0) == 0
         assert iterations_to_radius(trace, 0.1) is None
-
-    def test_requires_errors(self):
-        with pytest.raises(ValueError):
-            iterations_to_radius(RunTrace(algorithm="gd"), 1.0)
 
     def test_csv_and_json(self, tmp_path):
         obj = glm_low_snr(n=100)
