@@ -10,7 +10,7 @@ from .experiments import ExperimentSpec, convergence_experiment, default_spec, s
 from .model_glm import GlmObjective, GlmPopulation
 from .model_gmm import GmmObjective, gauss_hermite
 from .numkit import SymMatrix, linfit, power_iteration
-from .optim import OptimizerConfig, RunTrace, gd_step, normgd_step, run
+from .optim import OptimizerConfig, RunTrace, normgd_step, run
 from .stochastics import rng_new, rng_split, sample_glm, sample_gmm
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "convergence_experiment",
     "default_spec",
     "gauss_hermite",
-    "gd_step",
     "linfit",
     "normgd_step",
     "power_iteration",

@@ -65,38 +65,34 @@ def _random_gmm_instance(rng, k):
     return model_gmm.GmmObjective(data), theta
 
 
-def check_glm_derivatives(seed: int = 0, instances: int = 25) -> list[CheckResult]:
+def _check_derivatives(model: str, module, loss: str, instance, seed: int, instances: int):
+    """Worst relative error of the model's gradient and Hessian against central
+    differences, over random instances drawn from stream ``seed``."""
     rng = rng_new(seed)
     worst_g, worst_h = 0.0, 0.0
     for k in range(instances):
-        obj, theta = _random_glm_instance(rng, k)
-        grad = model_glm.glm_grad(obj, theta)
-        fd_g = numkit.fd_gradient(lambda t: model_glm.glm_loss(obj, t), theta)
-        worst_g = max(worst_g, _rel_err(grad, fd_g))
-        hess = model_glm.glm_hessian(obj, theta).a
-        fd_h = numkit.fd_hessian_from_grad(lambda t: model_glm.glm_grad(obj, t), theta)
-        worst_h = max(worst_h, _rel_err(hess, fd_h))
+        obj, theta = instance(rng, k)
+        f = getattr(module, loss)
+        grad = getattr(module, f"{model}_grad")
+        hess = getattr(module, f"{model}_hessian")
+        fd_g = numkit.fd_gradient(lambda t: f(obj, t), theta)
+        worst_g = max(worst_g, _rel_err(grad(obj, theta), fd_g))
+        fd_h = numkit.fd_hessian_from_grad(lambda t: grad(obj, t), theta)
+        worst_h = max(worst_h, _rel_err(hess(obj, theta).a, fd_h))
     return [
-        CheckResult("glm_grad", worst_g <= FD_REL_TOL, f"max rel err {worst_g:.3e}"),
-        CheckResult("glm_hessian", worst_h <= FD_REL_TOL, f"max rel err {worst_h:.3e}"),
+        CheckResult(f"{model}_grad", worst_g <= FD_REL_TOL, f"max rel err {worst_g:.3e}"),
+        CheckResult(f"{model}_hessian", worst_h <= FD_REL_TOL, f"max rel err {worst_h:.3e}"),
     ]
+
+
+def check_glm_derivatives(seed: int = 0, instances: int = 25) -> list[CheckResult]:
+    return _check_derivatives("glm", model_glm, "glm_loss", _random_glm_instance, seed, instances)
 
 
 def check_gmm_derivatives(seed: int = 0, instances: int = 25) -> list[CheckResult]:
-    rng = rng_new(seed + 1)
-    worst_g, worst_h = 0.0, 0.0
-    for k in range(instances):
-        obj, theta = _random_gmm_instance(rng, k)
-        grad = model_gmm.gmm_grad(obj, theta)
-        fd_g = numkit.fd_gradient(lambda t: model_gmm.gmm_nll(obj, t), theta)
-        worst_g = max(worst_g, _rel_err(grad, fd_g))
-        hess = model_gmm.gmm_hessian(obj, theta).a
-        fd_h = numkit.fd_hessian_from_grad(lambda t: model_gmm.gmm_grad(obj, t), theta)
-        worst_h = max(worst_h, _rel_err(hess, fd_h))
-    return [
-        CheckResult("gmm_grad", worst_g <= FD_REL_TOL, f"max rel err {worst_g:.3e}"),
-        CheckResult("gmm_hessian", worst_h <= FD_REL_TOL, f"max rel err {worst_h:.3e}"),
-    ]
+    return _check_derivatives(
+        "gmm", model_gmm, "gmm_nll", _random_gmm_instance, seed + 1, instances
+    )
 
 
 def random_gapped_symmetric(rng, case: int, max_dim: int = 16):

@@ -196,15 +196,8 @@ def _sample_master(spec: ExperimentSpec, n: int, data_rng):
 
 def _prefix_objective(spec: ExperimentSpec, master, n: int):
     if spec.model == "glm":
-        data = GlmDataset(
-            n=n, d=spec.d, X=master.X[:n], Y=master.Y[:n], p=spec.p,
-            sigma=spec.sigma, theta_star=spec.theta_star,
-        )
-        return GlmObjective(data)
-    data = GmmDataset(
-        n=n, d=spec.d, X=master.X[:n], sigma=spec.sigma, theta_star=spec.theta_star
-    )
-    return GmmObjective(data)
+        return GlmObjective(GlmDataset(master.X[:n], master.Y[:n], spec.p, spec.sigma))
+    return GmmObjective(GmmDataset(master.X[:n], spec.sigma))
 
 
 def _run_repeat(payload) -> tuple[int, dict]:
@@ -337,16 +330,6 @@ class IterationScalingRow:
     mean_iterations: float | None
     per_repeat: list
     censored: int
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "algorithm": self.algorithm,
-            "radius": self.radius,
-            "mean_iterations": self.mean_iterations,
-            "per_repeat": self.per_repeat,
-            "censored": self.censored,
-        }
 
 
 def iteration_scaling_study(spec: ExperimentSpec) -> list[IterationScalingRow]:

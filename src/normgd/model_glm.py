@@ -20,9 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SingularPointError, UnsupportedRegimeError
 from .numkit import SymMatrix, check_theta
 from .stochastics import GlmDataset
+
+
+class SingularPointError(ValueError):
+    """Evaluation at a point where the quantity is degenerate."""
 
 
 def double_factorial(m: int) -> int:
@@ -85,17 +88,13 @@ def glm_hessian(obj: GlmObjective, theta) -> SymMatrix:
 
 @dataclass
 class GlmPopulation:
-    """Closed-form population objective; only the theta* = 0 regime exists."""
+    """Closed-form population objective at theta* = 0, the only regime with one."""
 
     p: int
     sigma: float
-    theta_star: np.ndarray
     d: int
 
     def __post_init__(self):
-        self.theta_star = np.asarray(self.theta_star, dtype=float)
-        if self.theta_star.shape != (self.d,):
-            raise ValueError("theta_star shape disagrees with d")
         if self.p < 2 or int(self.p) != self.p:
             raise ValueError("link exponent p must be an integer >= 2")
 
@@ -103,14 +102,7 @@ class GlmPopulation:
     def dim(self) -> int:
         return self.d
 
-    def _require_zero_star(self):
-        if np.any(self.theta_star != 0.0):
-            raise UnsupportedRegimeError(
-                "closed-form population quantities exist only for theta* = 0"
-            )
-
     def gradient(self, theta: np.ndarray) -> np.ndarray:
-        self._require_zero_star()
         theta = check_theta(self, theta)
         norm = float(np.linalg.norm(theta))
         if norm == 0.0:
@@ -119,7 +111,6 @@ class GlmPopulation:
         return coef * norm ** (2 * self.p - 2) * theta
 
     def hessian(self, theta: np.ndarray) -> SymMatrix:
-        self._require_zero_star()
         theta = check_theta(self, theta)
         norm = float(np.linalg.norm(theta))
         coef = self.p * double_factorial(2 * self.p - 1)
@@ -136,7 +127,6 @@ class GlmPopulation:
 
 
 def glm_pop_loss(pop: GlmPopulation, theta) -> float:
-    pop._require_zero_star()
     theta = check_theta(pop, theta)
     norm = float(np.linalg.norm(theta))
     return 0.5 * (pop.sigma**2 + double_factorial(2 * pop.p - 1) * norm ** (2 * pop.p))
@@ -147,7 +137,6 @@ def glm_pop_hessian_eigs(pop: GlmPopulation, theta) -> tuple[float, float]:
 
     The ratio lambda_max / lambda_min equals 2p - 1 for every theta != 0.
     """
-    pop._require_zero_star()
     theta = check_theta(pop, theta)
     norm = float(np.linalg.norm(theta))
     if norm == 0.0:

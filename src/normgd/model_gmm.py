@@ -10,8 +10,8 @@ rearranged form
 with log(exp(u)+exp(-u)) = |u| + log1p(exp(-2|u|)) so large |u| cannot
 overflow. Gradient and Hessian follow in closed form through tanh and
 sech^2. One EM update of the location parameter coincides with a fixed-step
-gradient step at eta = sigma^2; both are provided and the identity is pinned
-by tests.
+gradient step at eta = sigma^2, which is how the optimizer takes it; em_step
+writes the update out on its own as the reference that pins the identity.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class GmmObjective:
 
     def hessian(self, theta: np.ndarray) -> SymMatrix:
         return gmm_hessian(self, theta)
-
-    def em_step(self, theta: np.ndarray) -> np.ndarray:
-        return em_step(self, theta)
 
 
 def gmm_nll(obj: GmmObjective, theta) -> float:

@@ -4,7 +4,10 @@ Three update rules over any objective exposing gradient/hessian/dim:
 
   normgd:  theta' = theta - (eta / lambda_max(hessian(theta))) * gradient(theta)
   gd:      theta' = theta - eta * gradient(theta)
-  em:      theta' = objective's own em_step (mixture model only)
+  em:      theta' = theta - sigma^2 * gradient(theta)   (objectives with a sigma)
+
+For the symmetric mixture, the EM update is exactly the gradient step at
+eta = sigma^2, so em needs nothing beyond the gradient the loop computes.
 
 The run loop records the distance to the true parameter theta*, which every
 run takes, at every iteration; the minimum of that sequence is the statistic the slope
@@ -89,8 +92,8 @@ class OptimizerConfig:
             raise ValueError("eta must be positive")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
-        if self.algorithm == "em" and not hasattr(obj, "em_step"):
-            raise ValueError("em is only valid for objectives with an em_step")
+        if self.algorithm == "em" and not hasattr(obj, "sigma"):
+            raise ValueError("em is only valid for objectives with a sigma")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -130,12 +133,6 @@ def normgd_step(
     if grad is None:
         grad = obj.gradient(theta)
     return theta - (eta / lam) * grad, lam
-
-
-def gd_step(obj, theta: np.ndarray, eta: float, grad: np.ndarray | None = None) -> np.ndarray:
-    if grad is None:
-        grad = obj.gradient(theta)
-    return theta - eta * grad
 
 
 @dataclass
@@ -211,6 +208,7 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
     grad_norms: list[float] = []
     lambdas: list[float] = []
     degenerate_lambda = None
+    step = obj.sigma**2 if cfg.algorithm == "em" else cfg.eta
     started = time.perf_counter()
 
     t = 0
@@ -221,17 +219,15 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
         grad_norms.append(float(np.linalg.norm(grad)))
         if grad_norms[-1] == 0.0 or t >= cfg.max_iter:
             break
-        try:
-            if cfg.algorithm == "normgd":
+        if cfg.algorithm == "normgd":
+            try:
                 theta, lam = normgd_step(obj, theta, cfg.eta, grad=grad)
-                lambdas.append(lam)
-            elif cfg.algorithm == "gd":
-                theta = gd_step(obj, theta, cfg.eta, grad=grad)
-            else:
-                theta = obj.em_step(theta)
-        except DegenerateCurvatureError as err:
-            degenerate_lambda = err.lam
-            break
+            except DegenerateCurvatureError as err:
+                degenerate_lambda = err.lam
+                break
+            lambdas.append(lam)
+        else:
+            theta = theta - step * grad
         t += 1
 
     errors = np.asarray(errors)

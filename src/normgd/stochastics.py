@@ -11,7 +11,7 @@ of uniforms. Child streams are derived by a fixed 64-bit mix of
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -106,20 +106,29 @@ def rng_unit_sphere(r: RngState, d: int) -> np.ndarray:
             return v / norm
 
 
+class _Rows:
+    """n and d of a dataset, read from the shape of its X."""
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
+
+
 @dataclass
-class GlmDataset:
+class GlmDataset(_Rows):
     """Rows (X_i, Y_i) with Y_i = (X_i . theta*)^p + noise."""
 
-    n: int
-    d: int
     X: np.ndarray
     Y: np.ndarray
     p: int
     sigma: float
-    theta_star: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.X.shape != (self.n, self.d) or self.Y.shape != (self.n,):
+        if self.X.ndim != 2 or len(self.Y) != len(self.X):
             raise ValueError("dataset arrays have inconsistent shapes")
         if not (np.all(np.isfinite(self.X)) and np.all(np.isfinite(self.Y))):
             raise ValueError("dataset contains non-finite values")
@@ -132,18 +141,15 @@ class GlmDataset:
 
 
 @dataclass
-class GmmDataset:
+class GmmDataset(_Rows):
     """Rows X_i from the symmetric two-component mixture around +-theta*."""
 
-    n: int
-    d: int
     X: np.ndarray
     sigma: float
-    theta_star: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.X.shape != (self.n, self.d):
-            raise ValueError("dataset array has inconsistent shape")
+        if self.X.ndim != 2:
+            raise ValueError("dataset array must be 2-d")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("dataset contains non-finite values")
         if self.sigma <= 0:
@@ -171,7 +177,7 @@ def sample_glm(n: int, d: int, theta_star, p: int, sigma: float, rng: RngState) 
     Y = (X @ theta_star) ** p
     if sigma > 0:
         Y = Y + sigma * rng_normal(rng, n)
-    return GlmDataset(n=n, d=d, X=X, Y=Y, p=int(p), sigma=float(sigma), theta_star=theta_star)
+    return GlmDataset(X=X, Y=Y, p=int(p), sigma=float(sigma))
 
 
 def sample_gmm(n: int, d: int, theta_star, sigma: float, rng: RngState) -> GmmDataset:
@@ -185,4 +191,4 @@ def sample_gmm(n: int, d: int, theta_star, sigma: float, rng: RngState) -> GmmDa
         raise ValueError("sigma must be positive")
     signs = np.where(rng_uniform(rng, n) < 0.5, -1.0, 1.0)
     X = signs[:, None] * theta_star + sigma * rng_normal(rng, n * d).reshape(n, d)
-    return GmmDataset(n=n, d=d, X=X, sigma=float(sigma), theta_star=theta_star)
+    return GmmDataset(X=X, sigma=float(sigma))

@@ -164,7 +164,7 @@ def test_c09_gmm_population_hessian():
 
 
 def test_c10_glm_population_lln():
-    pop = GlmPopulation(p=2, sigma=1.0, theta_star=np.zeros(3), d=3)
+    pop = GlmPopulation(p=2, sigma=1.0, d=3)
     ds = sample_glm(10**6, 3, np.zeros(3), 2, 1.0, rng_new(42))
     obj = GlmObjective(ds)
     points = (

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from normgd.errors import SingularPointError, UnsupportedRegimeError
 from normgd.model_glm import (
     GlmObjective,
     GlmPopulation,
+    SingularPointError,
     double_factorial,
     glm_grad,
     glm_hessian,
@@ -19,10 +19,7 @@ from normgd.stochastics import GlmDataset, rng_new, rng_normal, rng_uniform, sam
 def single_row(x, y, p=2):
     x = np.asarray(x, dtype=float)
     return GlmObjective(
-        GlmDataset(
-            n=1, d=x.size, X=x[None, :], Y=np.array([float(y)]), p=p, sigma=1.0,
-            theta_star=np.zeros(x.size),
-        )
+        GlmDataset(X=x[None, :], Y=np.array([float(y)]), p=p, sigma=1.0)
     )
 
 
@@ -137,7 +134,7 @@ class TestHessian:
 
 class TestPopulation:
     def make(self, p=2, sigma=1.0, d=3):
-        return GlmPopulation(p=p, sigma=sigma, theta_star=np.zeros(d), d=d)
+        return GlmPopulation(p=p, sigma=sigma, d=d)
 
     def test_loss_at_zero(self):
         pop = self.make(sigma=0.7)
@@ -147,11 +144,6 @@ class TestPopulation:
         pop = self.make()
         theta = np.array([1.0, 0.0, 0.0])
         assert glm_pop_loss(pop, theta) == pytest.approx(2.0)
-
-    def test_rejects_nonzero_star(self):
-        pop = GlmPopulation(p=2, sigma=1.0, theta_star=np.array([1.0, 0.0]), d=2)
-        with pytest.raises(UnsupportedRegimeError):
-            glm_pop_loss(pop, np.zeros(2))
 
     def test_matches_large_sample_loss(self):
         pop = self.make(p=2, sigma=1.0, d=3)

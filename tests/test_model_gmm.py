@@ -61,7 +61,7 @@ class TestNll:
 
     def test_single_point_at_origin(self):
         d, sigma = 3, 1.3
-        data = GmmDataset(n=1, d=d, X=np.zeros((1, d)), sigma=sigma, theta_star=np.zeros(d))
+        data = GmmDataset(X=np.zeros((1, d)), sigma=sigma)
         obj = GmmObjective(data)
         theta = np.array([0.4, -0.2, 1.0])
         expected = (
@@ -139,7 +139,7 @@ class TestEmStep:
     def test_large_sigma_contracts_to_zero(self):
         rng = rng_new(8)
         data = sample_gmm(50, 2, np.array([1.0, -1.0]), 1.0, rng)
-        big = GmmDataset(n=50, d=2, X=data.X, sigma=1e6, theta_star=data.theta_star)
+        big = GmmDataset(X=data.X, sigma=1e6)
         obj = GmmObjective(big)
         out = em_step(obj, np.array([5.0, -3.0]))
         assert np.linalg.norm(out) < 1e-9

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from normgd import optim
+from normgd import model_gmm, optim
 from normgd.model_glm import GlmObjective, glm_grad, glm_hessian
-from normgd.model_gmm import GmmObjective, em_step
+from normgd.model_gmm import GmmObjective
 from normgd.numkit import EigenConvergenceError, SymMatrix
 from normgd.optim import (
     DegenerateCurvatureError,
@@ -11,7 +11,6 @@ from normgd.optim import (
     Quadratic,
     ScaledObjective,
     RunTrace,
-    gd_step,
     iterations_to_radius,
     normgd_step,
     run,
@@ -52,20 +51,12 @@ class TestSteps:
             normgd_step(obj, np.array([1.0, 0.0]), eta=0.5)
         assert exc.value.lam == pytest.approx(-1.0, abs=1e-12)
 
-    def test_gd_fixed_point_at_zero_gradient(self):
-        obj = Quadratic(SymMatrix(np.eye(3)), center=np.ones(3))
-        assert np.array_equal(gd_step(obj, np.ones(3), eta=0.7), np.ones(3))
-
     def test_gd_exact_newton_coincidence(self):
         obj = Quadratic(SymMatrix(np.eye(2)))
-        assert np.allclose(gd_step(obj, np.array([3.0, -4.0]), eta=1.0), 0.0, atol=1e-15)
-
-    def test_gd_with_sigma_squared_equals_em(self):
-        ds = sample_gmm(60, 3, np.array([1.0, 0.0, -1.0]), 1.2, rng_new(3))
-        obj = GmmObjective(ds)
-        theta = np.array([0.5, -0.3, 0.8])
-        gd = gd_step(obj, theta, eta=obj.sigma**2)
-        assert np.linalg.norm(gd - em_step(obj, theta)) <= 1e-12
+        trace = run(obj, np.array([3.0, -4.0]), OptimizerConfig("gd", eta=1.0, max_iter=1),
+                    np.zeros(2))
+        assert trace.n_steps == 1
+        assert np.allclose(trace.iterates[1], 0.0, atol=1e-15)
 
 
 class TestLambdaMax:
@@ -89,10 +80,12 @@ class TestRun:
     def test_start_at_minimum(self):
         center = np.array([1.0, -2.0])
         obj = Quadratic(SymMatrix(np.eye(2)), center=center)
-        trace = run(obj, center, OptimizerConfig("normgd", max_iter=50), center)
-        assert trace.min_error == 0.0
-        assert trace.min_error_iter == 0
-        assert trace.n_steps == 0
+        for algorithm in ("normgd", "gd"):
+            trace = run(obj, center, OptimizerConfig(algorithm, max_iter=50), center)
+            assert trace.min_error == 0.0
+            assert trace.min_error_iter == 0
+            assert trace.n_steps == 0
+            assert np.array_equal(trace.iterates, [center])
 
     def test_quadratic_errors_halve(self):
         obj = Quadratic(SymMatrix(np.eye(2)))
@@ -151,13 +144,20 @@ class TestRun:
                     np.zeros(2))
         assert trace.n_steps == 20
 
-    def test_em_equals_gd_trace(self):
-        ds = sample_gmm(200, 2, np.array([0.5, 0.5]), 1.0, rng_new(6))
+    def test_em_equals_gd_trace(self, monkeypatch):
+        # EM steps by -sigma^2 * gradient from the loop's own gradient: it
+        # never calls the reference update and ignores cfg.eta.
+        def unused(obj, theta):
+            raise AssertionError("the run loop called model_gmm.em_step")
+
+        monkeypatch.setattr(model_gmm, "em_step", unused)
+        ds = sample_gmm(200, 2, np.array([0.5, 0.5]), 1.3, rng_new(6))
         obj = GmmObjective(ds)
         theta0 = np.array([0.4, 0.1])
-        em = run(obj, theta0, OptimizerConfig("em", eta=1.0, max_iter=15), np.zeros(2))
-        gd = run(obj, theta0, OptimizerConfig("gd", eta=obj.sigma**2, max_iter=15), np.zeros(2))
-        assert np.allclose(em.errors, gd.errors, atol=1e-12)
+        em = run(obj, theta0, OptimizerConfig("em", eta=0.5, max_iter=15), np.zeros(2))
+        gd = run(obj, theta0, OptimizerConfig("gd", eta=1.3**2, max_iter=15), np.zeros(2))
+        assert em.n_steps == 15
+        assert np.array_equal(em.iterates, gd.iterates)
 
     def test_degenerate_run_flagged_with_partial_trace(self):
         obj = Quadratic(SymMatrix(-np.eye(2)))
@@ -183,7 +183,8 @@ class TestRun:
         trace = run(obj, np.array([1.0, 1.0]), cfg, np.zeros(2))
         assert trace.iterates.shape == (10_051, 2)
         for t in (10_001, 10_049):
-            assert np.array_equal(trace.iterates[t + 1], gd_step(obj, trace.iterates[t], 1e-4))
+            theta = trace.iterates[t]
+            assert np.array_equal(trace.iterates[t + 1], theta - 1e-4 * obj.gradient(theta))
 
     def test_config_validation(self):
         obj = Quadratic(SymMatrix(np.eye(2)))

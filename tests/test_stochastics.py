@@ -136,10 +136,9 @@ class TestSampleGmm:
             sample_gmm(10, 2, np.zeros(2), 0.0, rng_new(0))
 
 
-class TestCsv:
+class TestDataset:
     def test_dataset_shape_guard(self):
         with pytest.raises(ValueError):
-            GlmDataset(
-                n=3, d=2, X=np.zeros((2, 2)), Y=np.zeros(3), p=2, sigma=1.0,
-                theta_star=np.zeros(2),
-            )
+            GlmDataset(X=np.zeros(3), Y=np.zeros(3), p=2, sigma=1.0)
+        with pytest.raises(ValueError):
+            GlmDataset(X=np.zeros((3, 2)), Y=np.zeros(2), p=2, sigma=1.0)
