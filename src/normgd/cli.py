@@ -131,13 +131,12 @@ def cmd_converge(args) -> int:
     spec = _build_spec(args, slope=False)
     outdir = _resolve_outdir(args, "converge")
     results = experiments.convergence_experiment(spec, outdir=outdir)
-    print("algorithm\trepeat\tmin_error\tmin_error_iter\tfinal_error\tn_steps\tdegenerate")
-    for alg, traces in results.items():
-        for r, t in enumerate(traces):
-            print(
-                f"{alg}\t{r}\t{t.min_error:.6g}\t{t.min_error_iter}\t"
-                f"{t.final_error:.6g}\t{t.n_steps}\t{int(t.degenerate)}"
-            )
+    rows = [{"algorithm": alg, "repeat": r, **t.record()}
+            for alg, traces in results.items() for r, t in enumerate(traces)]
+    print("\t".join(rows[0]))
+    for row in rows:
+        print("\t".join("" if v is None else f"{v:.6g}" if isinstance(v, float) else str(v)
+                        for v in row.values()))
     print(f"# outputs in {outdir}", file=sys.stderr)
     return 0
 

@@ -229,7 +229,7 @@ def convergence_experiment(spec: ExperimentSpec, outdir=None) -> dict[str, list[
 
     One dataset per repeat; every requested algorithm starts from the same
     theta0 on the same dataset. Returns algorithm -> list of traces (one per
-    repeat) and persists traces plus an SVG when outdir is given.
+    repeat) and persists the runs plus an SVG when outdir is given.
     """
     n = spec.require_single_n()
     repeats = _run_repeats(spec, (n,))
@@ -249,7 +249,7 @@ class SlopeResult:
     statistic: str
     n_grid: tuple[int, ...]
     mean_errors: np.ndarray
-    per_repeat_errors: np.ndarray  # shape (len(n_grid), repeats); NaN = excluded
+    per_repeat_errors: np.ndarray  # shape (len(n_grid), repeats); NaN = diverged, excluded
     fit: LineFit
     excluded: int = 0
 
@@ -267,15 +267,23 @@ class SlopeResult:
         }
 
 
-def _trace_statistic(trace: RunTrace, statistic: str) -> float:
-    return trace.min_error if statistic == "min" else trace.final_error
+def _statistics(repeats: dict, alg: str, n: int, statistic: str) -> np.ndarray:
+    """Per-repeat error statistic at n, NaN where a run diverged; raises if every run did."""
+    stats = np.full(len(repeats), np.nan)
+    for r in range(len(repeats)):
+        trace = repeats[r]["runs"][n][alg]
+        if trace.termination != "diverged":
+            stats[r] = trace.min_error if statistic == "min" else trace.final_error
+    if np.isnan(stats).all():
+        raise RuntimeError(f"every {alg} run diverged at n={n}")
+    return stats
 
 
 def padded_errors(trace: RunTrace, horizon: int) -> np.ndarray:
-    """Error sequence over 0..horizon, extending a converged run's last value.
+    """Error sequence over 0..horizon, extending an early-stopped run's last value.
 
-    A run that stops early has hit an exact stationary point (or degenerate
-    curvature); its error stays at the final recorded value thereafter.
+    A run that stops early (zero gradient, degenerate curvature or divergence)
+    keeps its final recorded error thereafter.
     """
     errs = trace.errors
     if len(errs) >= horizon + 1:
@@ -293,18 +301,16 @@ def slope_experiment(spec: ExperimentSpec, outdir=None) -> dict[str, SlopeResult
 
     The per-trial error statistic is min-over-iterates in the low regime and
     the final-iterate error in the strong regime; errors are averaged across
-    repeats before logs are taken. A NaN statistic, which only a diverged GD
-    run produces, is left out of the mean and counted as excluded.
+    repeats before logs are taken. A diverged run is left out of the mean and
+    counted as excluded; a grid point where every run diverged raises
+    RuntimeError.
     """
     grid, repeats = _collect_grid(spec)
     results: dict[str, SlopeResult] = {}
     stat = spec.error_statistic()
     for alg in spec.algorithms:
-        per = np.full((len(grid), spec.repeats), np.nan)
-        for i, n in enumerate(grid):
-            for r in range(spec.repeats):
-                per[i, r] = _trace_statistic(repeats[r]["runs"][n][alg], stat)
-        excluded = int(np.sum(~np.isfinite(per)))
+        per = np.array([_statistics(repeats, alg, n, stat) for n in grid])
+        excluded = int(np.sum(np.isnan(per)))
         means = np.nanmean(per, axis=1)
         fit = linfit(np.log(np.asarray(grid, dtype=float)), np.log(means))
         results[alg] = SlopeResult(
@@ -338,8 +344,8 @@ def iteration_scaling_study(spec: ExperimentSpec) -> list[IterationScalingRow]:
     The target radius at sample size n is c * n^(-rate) with the low-regime
     rate of the model; c is calibrated per algorithm as twice that
     algorithm's mean min-error at the largest n (so the target sits above
-    its mean noise floor at every grid point). A repeat that never enters
-    the radius is counted as censored.
+    its mean noise floor at every grid point; diverged runs are left out of
+    that mean). A repeat that never enters the radius is counted as censored.
     """
     if spec.regime != "low":
         raise ValueError("iteration scaling is a low-regime study")
@@ -347,7 +353,7 @@ def iteration_scaling_study(spec: ExperimentSpec) -> list[IterationScalingRow]:
     rate = spec.slope_rate()
     rows: list[IterationScalingRow] = []
     for alg in spec.algorithms:
-        floor = np.mean([repeats[r]["runs"][grid[-1]][alg].min_error for r in range(spec.repeats)])
+        floor = np.nanmean(_statistics(repeats, alg, grid[-1], "min"))
         c = 2.0 * floor * grid[-1] ** rate
         for n in grid:
             radius = float(c * n ** (-rate))
@@ -377,41 +383,34 @@ def iteration_scaling_study(spec: ExperimentSpec) -> list[IterationScalingRow]:
 # ---------------------------------------------------------------------------
 
 
-def _write_spec(spec: ExperimentSpec, outdir) -> None:
+def _persist_runs(spec: ExperimentSpec, grid: tuple[int, ...], repeats: dict, outdir) -> None:
+    """spec.json, one trace CSV per run, and runs.csv: one row per (n, repeat,
+    algorithm) holding the run's record and the step size and horizon it ran with."""
+    os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
     with open(os.path.join(outdir, "spec.json"), "w") as fh:
         json.dump(spec.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    rows = []
+    for n in grid:
+        for r in range(spec.repeats):
+            for alg, trace in repeats[r]["runs"][n].items():
+                trace.write_csv(os.path.join(outdir, "traces", f"{alg}_n{n}_rep{r}.csv"))
+                cfg = spec.optimizer_config(alg)
+                rows.append({"n": n, "repeat": r, "dataset_hash": repeats[r]["dataset_hash"],
+                             **trace.record(), "eta": cfg.eta, "max_iter": cfg.max_iter})
+    with open(os.path.join(outdir, "runs.csv"), "w") as fh:
+        fh.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else str(v) for v in row.values()) + "\n")
 
 
 def _persist_convergence(spec, results, repeats, outdir) -> None:
-    os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
-    _write_spec(spec, outdir)
-    for alg, traces in results.items():
-        for r, trace in enumerate(traces):
-            base = os.path.join(outdir, "traces", f"{alg}_rep{r}")
-            trace.write_csv(base + ".csv")
-            trace.write_json(
-                base + ".json",
-                {
-                    "seed": spec.seed,
-                    "config": spec.optimizer_config(alg).to_dict(),
-                    "dataset_hash": repeats[r]["dataset_hash"],
-                    "n": spec.n,
-                },
-            )
-    with open(os.path.join(outdir, "summary.csv"), "w") as fh:
-        fh.write("algorithm,repeat,n,min_error,min_error_iter,final_error,n_steps\n")
-        for alg, traces in results.items():
-            for r, t in enumerate(traces):
-                fh.write(
-                    f"{alg},{r},{spec.n},{t.min_error:.17g},{t.min_error_iter},"
-                    f"{t.final_error:.17g},{t.n_steps}\n"
-                )
+    _persist_runs(spec, (spec.require_single_n(),), repeats, outdir)
     series = []
     for alg, traces in results.items():
-        shortest = min(len(t.errors) for t in traces)
-        mean_err = np.mean([t.errors[:shortest] for t in traces], axis=0)
-        series.append({"name": alg, "xs": np.arange(shortest), "ys": mean_err})
+        horizon = max(t.n_steps for t in traces)
+        mean_err = np.mean([padded_errors(t, horizon) for t in traces], axis=0)
+        series.append({"name": alg, "xs": np.arange(horizon + 1), "ys": mean_err})
     svgplot.line_plot(
         os.path.join(outdir, "convergence.svg"),
         series,
@@ -423,14 +422,8 @@ def _persist_convergence(spec, results, repeats, outdir) -> None:
 
 
 def _persist_slopes(spec, results, repeats, outdir) -> None:
-    os.makedirs(os.path.join(outdir, "traces"), exist_ok=True)
-    _write_spec(spec, outdir)
     grid = spec.require_grid()
-    for n in grid:
-        for r in range(spec.repeats):
-            for alg, trace in repeats[r]["runs"][n].items():
-                base = os.path.join(outdir, "traces", f"{alg}_n{n}_rep{r}")
-                trace.write_csv(base + ".csv")
+    _persist_runs(spec, grid, repeats, outdir)
     with open(os.path.join(outdir, "summary.csv"), "w") as fh:
         fh.write("n,algorithm,mean_error,slope,r_squared\n")
         for alg, res in results.items():

@@ -11,16 +11,16 @@ eta = sigma^2, so em needs nothing beyond the gradient the loop computes.
 
 The run loop records the distance to the true parameter theta*, which every
 run takes, at every iteration; the minimum of that sequence is the statistic the slope
-experiments consume. Near-zero or negative top curvature is an expected
-terminal condition for normgd inside the statistical noise floor, so it ends
-a run gracefully (flagged) instead of raising out of the loop.
+experiments consume. Each run ends for one named reason, its termination.
+Near-zero or negative top curvature is an expected one for normgd inside the
+statistical noise floor, so it ends a run (degenerate) instead of raising.
 """
 
 from __future__ import annotations
 
-import json
+import math
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -95,9 +95,6 @@ class OptimizerConfig:
         if self.algorithm == "em" and not hasattr(obj, "sigma"):
             raise ValueError("em is only valid for objectives with a sigma")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def lambda_max(h: SymMatrix, backend: str = "exact", eig_tol: float = 1e-8) -> float:
     """Largest algebraic eigenvalue of h.
@@ -142,8 +139,9 @@ class RunTrace:
     ``iterates`` has shape (n_steps + 1, dim), so ``iterates[t]`` is
     iteration t. ``errors`` (the distance to theta*) and ``grad_norms`` are
     dense over iterations 0..n_steps; ``lambda_max_seq`` holds the eigenvalue
-    used by each step taken (empty for gd and em). ``degenerate_lambda`` is
-    the top eigenvalue that ended a normgd run, or None.
+    used by each step taken (empty for gd and em). ``termination`` names
+    why the run ended; ``degenerate_lambda`` is the top eigenvalue that ended
+    a degenerate normgd run, or None.
     """
 
     algorithm: str
@@ -154,12 +152,9 @@ class RunTrace:
     min_error: float
     min_error_iter: int
     n_steps: int
+    termination: str
     degenerate_lambda: float | None
     wall_time: float
-
-    @property
-    def degenerate(self) -> bool:
-        return self.degenerate_lambda is not None
 
     @property
     def final_error(self) -> float:
@@ -173,31 +168,29 @@ class RunTrace:
                 lam = f"{self.lambda_max_seq[t]:.17g}" if t < len(self.lambda_max_seq) else ""
                 fh.write(f"{t},{self.errors[t]:.17g},{self.grad_norms[t]:.17g},{lam}\n")
 
-    def write_json(self, path, metadata: dict | None = None) -> None:
-        doc = {
+    def record(self) -> dict:
+        """The run's outcome as one flat row, the schema of every per-run output."""
+        return {
             "algorithm": self.algorithm,
             "n_steps": self.n_steps,
             "min_error": self.min_error,
             "min_error_iter": self.min_error_iter,
             "final_error": self.final_error,
-            "degenerate": self.degenerate,
+            "termination": self.termination,
             "degenerate_lambda": self.degenerate_lambda,
             "wall_time": self.wall_time,
         }
-        if metadata:
-            doc.update(metadata)
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
 
 
 def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
     """Iterate from theta0 and record the error ||theta_t - theta*|| at every iteration.
 
-    A run stops in one of three ways: after cfg.max_iter steps, at an
-    exactly zero gradient, or (normgd) at degenerate curvature, which sets
-    ``degenerate_lambda``. min_error is the minimum over the recorded errors
-    (the min-over-iterates statistic).
+    A run stops in one of four ways, recorded as ``termination``: after
+    cfg.max_iter steps ("max_iter"), at an exactly zero gradient
+    ("zero_grad"), at the first gradient whose norm is not finite
+    ("diverged"), or (normgd) at degenerate curvature ("degenerate", which
+    sets ``degenerate_lambda``). min_error is the minimum over the recorded
+    errors (the min-over-iterates statistic).
     """
     cfg.validate(obj)
     theta = numkit.check_theta(obj, theta0).copy()
@@ -207,6 +200,7 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
     errors: list[float] = []
     grad_norms: list[float] = []
     lambdas: list[float] = []
+    termination = None
     degenerate_lambda = None
     step = obj.sigma**2 if cfg.algorithm == "em" else cfg.eta
     started = time.perf_counter()
@@ -216,13 +210,21 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
         iterates[t] = theta
         errors.append(float(np.linalg.norm(theta - theta_star)))
         grad = obj.gradient(theta)
-        grad_norms.append(float(np.linalg.norm(grad)))
-        if grad_norms[-1] == 0.0 or t >= cfg.max_iter:
+        grad_norm = float(np.linalg.norm(grad))
+        grad_norms.append(grad_norm)
+        if not math.isfinite(grad_norm):
+            termination = "diverged"
+        elif grad_norm == 0.0:
+            termination = "zero_grad"
+        elif t >= cfg.max_iter:
+            termination = "max_iter"
+        if termination:
             break
         if cfg.algorithm == "normgd":
             try:
                 theta, lam = normgd_step(obj, theta, cfg.eta, grad=grad)
             except DegenerateCurvatureError as err:
+                termination = "degenerate"
                 degenerate_lambda = err.lam
                 break
             lambdas.append(lam)
@@ -241,6 +243,7 @@ def run(obj, theta0, cfg: OptimizerConfig, theta_star) -> RunTrace:
         min_error=float(errors[best]),
         min_error_iter=best,
         n_steps=t,
+        termination=termination,
         degenerate_lambda=degenerate_lambda,
         wall_time=time.perf_counter() - started,
     )

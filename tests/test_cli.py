@@ -1,4 +1,7 @@
+import csv
+
 import numpy as np
+import pytest
 
 from normgd import checks, model_glm, optim
 from normgd.cli import main
@@ -15,13 +18,27 @@ BASE_SLOPE = [
 ]
 
 
+def runs_table(outdir) -> list[dict]:
+    """runs.csv, after checking every row against its trace CSV."""
+    with open(outdir / "runs.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        trace = outdir / "traces" / f"{row['algorithm']}_n{row['n']}_rep{row['repeat']}.csv"
+        errors = np.loadtxt(trace, delimiter=",", skiprows=1, usecols=1, ndmin=1)
+        assert int(row["n_steps"]) == len(errors) - 1
+        assert float(row["min_error"]) == errors.min() == errors[int(row["min_error_iter"])]
+        assert float(row["final_error"]) == errors[-1]
+    return rows
+
+
 class TestConverge:
     def test_smoke(self, tmp_path, capsys):
         code = main(BASE_CONVERGE + ["--out", str(tmp_path / "run")])
         assert code == 0
         out = capsys.readouterr().out
         assert out.startswith("algorithm\trepeat\t")
-        assert (tmp_path / "run" / "traces" / "normgd_rep0.csv").exists()
+        assert "\ttermination\t" in out.split("\n")[0]
+        assert (tmp_path / "run" / "traces" / "normgd_n200_rep0.csv").exists()
         assert (tmp_path / "run" / "convergence.svg").exists()
 
     def test_missing_model_fails_validation(self, tmp_path, capsys):
@@ -33,12 +50,30 @@ class TestConverge:
                             ("--eig-tol", "1e-8")):
             assert main(BASE_CONVERGE + [flag, value]) == 1
 
-    def test_repeatable_summary_bytes(self, tmp_path, capsys):
-        main(BASE_CONVERGE + ["--out", str(tmp_path / "a")])
-        main(BASE_CONVERGE + ["--out", str(tmp_path / "b")])
-        assert (tmp_path / "a" / "summary.csv").read_bytes() == (
-            tmp_path / "b" / "summary.csv"
-        ).read_bytes()
+    def test_runs_csv_matches_traces(self, tmp_path, capsys):
+        outdir = tmp_path / "g"
+        code = main(
+            ["converge", "--model", "gmm", "--regime", "low", "--n", "300", "--repeats", "2",
+             "--algorithms", "normgd,gd,em", "--max-iter", "60", "--out", str(outdir)]
+        )
+        assert code == 0
+        rows = runs_table(outdir)
+        assert [(row["repeat"], row["algorithm"]) for row in rows] == [
+            (r, alg) for r in ("0", "1") for alg in ("normgd", "gd", "em")
+        ]
+        printed = capsys.readouterr().out.strip().split("\n")
+        assert len(printed) == 1 + len(rows)
+
+    def test_repeatable_runs_csv(self, tmp_path, capsys):
+        # Identical apart from wall_time across two invocations and across --jobs 1 and 2.
+        tables = []
+        for name, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
+            outdir = tmp_path / name
+            assert main(BASE_CONVERGE + ["--repeats", "2", "--jobs", jobs, "--out", str(outdir)]) == 0
+            tables.append([{k: v for k, v in row.items() if k != "wall_time"}
+                           for row in runs_table(outdir)])
+        assert len(tables[0]) == 4
+        assert tables[0] == tables[1] == tables[2]
 
     def test_invalid_regime_theta_combination(self, tmp_path, capsys):
         code = main(
@@ -51,7 +86,7 @@ class TestConverge:
         monkeypatch.setenv("NORMGD_OUT", str(tmp_path / "root"))
         code = main(BASE_CONVERGE)
         assert code == 0
-        assert (tmp_path / "root" / "converge_glm_low_seed7" / "summary.csv").exists()
+        assert (tmp_path / "root" / "converge_glm_low_seed7" / "runs.csv").exists()
 
     def test_replication_invocation(self, tmp_path, capsys):
         # The documented replication command at its real sample size.
@@ -60,8 +95,8 @@ class TestConverge:
              "--d", "4", "--seed", "7", "--out", str(tmp_path / "rep")]
         )
         assert code == 0
-        assert (tmp_path / "rep" / "traces" / "normgd_rep0.csv").exists()
-        assert (tmp_path / "rep" / "traces" / "gd_rep0.csv").exists()
+        assert (tmp_path / "rep" / "traces" / "normgd_n1000_rep0.csv").exists()
+        assert (tmp_path / "rep" / "traces" / "gd_n1000_rep0.csv").exists()
 
 
 class TestSlope:
@@ -73,6 +108,20 @@ class TestSlope:
         assert lines[0] == "algorithm\tslope\tr_squared\tstatistic\texcluded"
         assert any(line.startswith("normgd\t") for line in lines[1:])
         assert (tmp_path / "s" / "slopes.svg").exists()
+        rows = runs_table(tmp_path / "s")
+        assert [(row["n"], row["repeat"], row["algorithm"]) for row in rows] == [
+            (n, r, alg) for n in ("200", "400", "800") for r in ("0", "1") for alg in ("normgd", "gd")
+        ]
+
+    def test_every_run_diverged_exits_2(self, tmp_path, capsys):
+        with pytest.warns(RuntimeWarning):
+            code = main(
+                ["slope", "--model", "glm", "--regime", "strong", "--n-grid", "500,1000,2000",
+                 "--repeats", "2", "--algorithms", "gd", "--eta-gd", "0.05", "--max-iter", "200",
+                 "--out", str(tmp_path / "d")]
+            )
+        assert code == 2
+        assert "every gd run diverged at n=500" in capsys.readouterr().err
 
     def test_short_grid_rejected(self, tmp_path, capsys):
         code = main(

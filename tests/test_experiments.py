@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -6,6 +7,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from normgd import svgplot
 from normgd.experiments import (
     ExperimentSpec,
     _collect_grid,
@@ -15,7 +17,6 @@ from normgd.experiments import (
     padded_errors,
     slope_experiment,
 )
-from normgd.optim import OptimizerConfig
 
 
 def small_glm_spec(**overrides):
@@ -164,6 +165,26 @@ class TestSlope:
         res2 = convergence_experiment(small_glm_spec(n=400))
         assert res["normgd"][0].errors[0] == res2["normgd"][0].errors[0]
 
+    def test_diverged_runs_are_excluded_from_the_mean(self):
+        # At eta=0.01 repeat 0 diverges at n=500 and repeat 3 at n=1000; each
+        # stops with a finite error, so only its termination can exclude it.
+        spec = default_spec(
+            "glm", "strong", algorithms=("gd",), repeats=4, n_grid=(500, 1000, 2000), seed=0,
+            eta_by_algorithm={"gd": 0.01}, max_iter_by_algorithm={"gd": 200},
+        )
+        with pytest.warns(RuntimeWarning):
+            res = slope_experiment(spec)["gd"]
+            _, repeats = _collect_grid(spec)
+        diverged = np.array([[repeats[r]["runs"][n]["gd"].termination == "diverged"
+                              for r in range(4)] for n in spec.n_grid])
+        assert diverged.sum() == 2 and diverged[0, 0] and diverged[1, 3]
+        assert res.excluded == 2
+        assert np.array_equal(np.isnan(res.per_repeat_errors), diverged)
+        kept = [[repeats[r]["runs"][n]["gd"].final_error for r in range(4) if not diverged[i, r]]
+                for i, n in enumerate(spec.n_grid)]
+        assert np.array_equal(res.mean_errors, [np.mean(k) for k in kept])
+        assert np.isfinite(res.fit.slope)
+
     def test_parallel_pool_matches_serial(self):
         serial = slope_experiment(small_glm_spec())
         pooled = slope_experiment(small_glm_spec(jobs=2))
@@ -212,6 +233,20 @@ class TestIterationScaling:
             else:
                 assert row.mean_iterations is None
 
+    def test_diverged_runs_leave_the_floor(self):
+        # At eta=1.4 repeat 3 diverges at the largest n; at eta=1.8 every run there does.
+        spec = small_glm_spec(algorithms=("gd",), repeats=4, eta_by_algorithm={"gd": 1.4})
+        with pytest.warns(RuntimeWarning):
+            rows = iteration_scaling_study(spec)
+            _, repeats = _collect_grid(spec)
+        runs = [repeats[r]["runs"][800]["gd"] for r in range(4)]
+        assert [t.termination for t in runs] == ["max_iter"] * 3 + ["diverged"]
+        floor = np.mean([t.min_error for t in runs[:3]])
+        assert rows[-1].radius == pytest.approx(2.0 * floor, rel=1e-12)
+        spec = small_glm_spec(algorithms=("gd",), repeats=4, eta_by_algorithm={"gd": 1.8})
+        with pytest.warns(RuntimeWarning), pytest.raises(RuntimeError, match="gd run diverged at n=800"):
+            iteration_scaling_study(spec)
+
     def test_calibrated_radius_scales_with_n(self):
         rows = iteration_scaling_study(small_glm_spec())
         ng = [row for row in rows if row.algorithm == "normgd"]
@@ -230,17 +265,38 @@ class TestPersistence:
         assert spec_doc["error_statistic"] == "min"
         spec_fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
         assert set(spec_doc) == spec_fields | {"error_statistic"}
-        config_fields = {f.name for f in dataclasses.fields(OptimizerConfig)}
-        for alg in ("normgd", "gd"):
-            for r in range(2):
-                assert (outdir / "traces" / f"{alg}_rep{r}.csv").exists()
-                meta = json.loads((outdir / "traces" / f"{alg}_rep{r}.json").read_text())
-                assert "dataset_hash" in meta and meta["seed"] == 11
-                assert set(meta["config"]) == config_fields
-        summary = (outdir / "summary.csv").read_text().strip().split("\n")
-        assert summary[0].startswith("algorithm,repeat,n,")
-        assert len(summary) == 1 + 2 * 2
+        assert sorted(p.name for p in (outdir / "traces").iterdir()) == [
+            f"{alg}_n300_rep{r}.csv" for alg in ("gd", "normgd") for r in range(2)
+        ]
+        assert not (outdir / "summary.csv").exists()
+        with open(outdir / "runs.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert list(rows[0]) == [
+            "n", "repeat", "dataset_hash", "algorithm", "n_steps", "min_error",
+            "min_error_iter", "final_error", "termination", "degenerate_lambda", "wall_time",
+            "eta", "max_iter",
+        ]
+        assert [(row["n"], row["repeat"], row["algorithm"]) for row in rows] == [
+            ("300", "0", "normgd"), ("300", "0", "gd"), ("300", "1", "normgd"), ("300", "1", "gd")
+        ]
+        assert rows[0]["dataset_hash"] == rows[1]["dataset_hash"] != rows[2]["dataset_hash"]
+        assert {row["termination"] for row in rows} == {"max_iter"}
+        assert [(row["eta"], row["max_iter"]) for row in rows[:2]] == [("0.5", "60"), ("0.005", "120")]
         ET.parse(outdir / "convergence.svg")
+
+    def test_convergence_plot_spans_the_longest_run(self, tmp_path, monkeypatch):
+        # Repeat 1 of normgd stops at a zero gradient after 75 of 500 steps;
+        # its error is held at the last value, not the curve cut at 75.
+        plotted = {}
+        monkeypatch.setattr(svgplot, "line_plot", lambda path, series, **kw: plotted.update(
+            {s["name"]: s for s in series}))
+        spec = default_spec("gmm", "low", algorithms=("normgd",), repeats=2, n=2000, seed=0)
+        traces = convergence_experiment(spec, outdir=str(tmp_path))["normgd"]
+        assert [t.n_steps for t in traces] == [500, 75]
+        assert np.array_equal(plotted["normgd"]["xs"], np.arange(501))
+        assert np.array_equal(
+            plotted["normgd"]["ys"], np.mean([padded_errors(t, 500) for t in traces], axis=0)
+        )
 
     def test_slope_outputs(self, tmp_path):
         outdir = tmp_path / "slope"
@@ -252,6 +308,7 @@ class TestPersistence:
         slopes = json.loads((outdir / "slopes.json").read_text())
         assert set(slopes) == {"normgd", "gd"}
         assert (outdir / "traces" / "normgd_n200_rep0.csv").exists()
+        assert len((outdir / "runs.csv").read_text().strip().split("\n")) == 1 + 3 * 2 * 2
         ET.parse(outdir / "slopes.svg")
 
     def test_deterministic_summary_bytes(self, tmp_path):

@@ -93,6 +93,7 @@ class TestRun:
         trace = run(obj, theta0, OptimizerConfig("normgd", eta=0.5, max_iter=8), np.zeros(2))
         expected = np.sqrt(2.0) * 0.5 ** np.arange(9)
         assert np.allclose(trace.errors, expected, rtol=1e-12)
+        assert trace.termination == "max_iter"
 
     def test_errors_nonincreasing_on_psd_quadratic(self):
         rng = np.random.default_rng(0)
@@ -163,7 +164,7 @@ class TestRun:
         obj = Quadratic(SymMatrix(-np.eye(2)))
         trace = run(obj, np.array([1.0, 0.0]), OptimizerConfig("normgd", max_iter=10),
                     np.zeros(2))
-        assert trace.degenerate
+        assert trace.termination == "degenerate"
         assert trace.degenerate_lambda == pytest.approx(-1.0, abs=1e-12)
         assert trace.n_steps == 0
         assert len(trace.errors) == 1
@@ -175,7 +176,22 @@ class TestRun:
         trace = run(obj, np.array([1.0, 1.0]), cfg, np.zeros(2))
         assert trace.n_steps == 1
         assert trace.grad_norms[-1] == 0.0
-        assert not trace.degenerate
+        assert trace.termination == "zero_grad"
+        assert trace.degenerate_lambda is None
+
+    def test_divergence_stops_at_first_nonfinite_gradient(self):
+        # GD at eta=0.05 on glm strong overflows: the gradient norm is 1.6e66
+        # at t=7 and inf at t=8, where the run must stop before any NaN.
+        star = np.array([1.0, 2.0, 3.0, 4.0])
+        obj = GlmObjective(sample_glm(1000, 4, star, 2, 1.0, rng_new(0)))
+        with pytest.warns(RuntimeWarning):
+            trace = run(obj, star + 0.15, OptimizerConfig("gd", eta=0.05, max_iter=200), star)
+        assert trace.termination == "diverged"
+        assert trace.n_steps == 8
+        assert np.isinf(trace.grad_norms[-1])
+        assert np.all(np.isfinite(trace.grad_norms[:-1]))
+        assert np.all(np.isfinite(trace.errors)) and np.all(np.isfinite(trace.iterates))
+        assert (trace.min_error, trace.min_error_iter) == (trace.errors[0], 0)
 
     def test_iterates_are_dense_past_ten_thousand_steps(self):
         obj = Quadratic(SymMatrix(np.eye(2)))
@@ -208,6 +224,7 @@ class TestTraceUtils:
             min_error=0.25,
             min_error_iter=2,
             n_steps=2,
+            termination="max_iter",
             degenerate_lambda=None,
             wall_time=0.0,
         )
@@ -218,7 +235,7 @@ class TestTraceUtils:
         assert iterations_to_radius(trace, 2.0) == 0
         assert iterations_to_radius(trace, 0.1) is None
 
-    def test_csv_and_json(self, tmp_path):
+    def test_csv_and_record(self, tmp_path):
         obj = glm_low_snr(n=100)
         trace = run(obj, np.full(4, 0.25), OptimizerConfig("normgd", max_iter=5), np.zeros(4))
         csv_path = tmp_path / "t.csv"
@@ -226,10 +243,13 @@ class TestTraceUtils:
         lines = csv_path.read_text().strip().split("\n")
         assert lines[0] == "iter,error,grad_norm,lambda_max"
         assert len(lines) == trace.n_steps + 2
-        json_path = tmp_path / "t.json"
-        trace.write_json(json_path, {"seed": 1, "dataset_hash": "abc"})
-        import json
-
-        doc = json.loads(json_path.read_text())
-        assert doc["min_error"] == trace.min_error
-        assert doc["dataset_hash"] == "abc"
+        assert trace.record() == {
+            "algorithm": "normgd",
+            "n_steps": 5,
+            "min_error": trace.min_error,
+            "min_error_iter": trace.min_error_iter,
+            "final_error": float(trace.errors[-1]),
+            "termination": "max_iter",
+            "degenerate_lambda": None,
+            "wall_time": trace.wall_time,
+        }
